@@ -416,19 +416,28 @@ def _cmd_validate_ext(options: dict, seed: int) -> tuple[int, dict]:
 # -- selftest -------------------------------------------------------------------
 
 
+def _check(cond: bool, what: str) -> None:
+    """A selftest check that stays in force under ``python -O``."""
+    if not cond:
+        raise AssertionError(what)
+
+
 def _section_fields(rng: random.Random) -> None:
     for p, m in [(2, 1), (2, 2), (3, 2)]:
         fld = FunctionField.make(p, [f"x{i+1}" for i in range(m)])
         pool = [fld.const_poly(1), fld.var_poly(0)]
         for _ in range(40):
             f = random_ratfunc(fld, rng, 3, 3, pool)
-            assert frobenius_compose(fld, frobenius_decompose(f)) == f
+            _check(
+                frobenius_compose(fld, frobenius_decompose(f)) == f,
+                "Frobenius decomposition round trip",
+            )
             g = random_ratfunc(fld, rng, 2, 2)
-            assert pth_root(g**p) == g
+            _check(pth_root(g**p) == g, "p-th root of a p-th power")
             h = random_ratfunc(fld, rng, 2, 2)
             i = rng.randrange(m)
             lhs = partial(f * h, i)
-            assert lhs == f * partial(h, i) + h * partial(f, i)
+            _check(lhs == f * partial(h, i) + h * partial(f, i), "Leibniz rule")
 
 
 def _section_forms(rng: random.Random) -> None:
@@ -437,15 +446,15 @@ def _section_forms(rng: random.Random) -> None:
         for _ in range(40):
             n = rng.randint(0, 2)
             w = random_form_rng(fld, n, 3, 2, rng)
-            assert d(d(w)).is_zero()
-            assert cartier_raw(sp(w)) == w
+            _check(d(d(w)).is_zero(), "d(d(w)) = 0")
+            _check(cartier_raw(sp(w)) == w, "C(sp(w)) = w")
             if n < m:
-                assert cartier_raw(d(w)).is_zero()
+                _check(cartier_raw(d(w)).is_zero(), "C(d(w)) = 0")
             rhs, cert = power_certificate(w, rng.randint(0, 3))
-            assert verify_certificate(rhs, w, cert)
+            _check(verify_certificate(rhs, w, cert), "power certificate verifies")
         a = random_ratfunc(fld, rng, 2, 2, nonzero=True)
         b = random_ratfunc(fld, rng, 2, 2, nonzero=True)
-        assert nu_member(wedge(dlog(a), dlog(b)))
+        _check(nu_member(wedge(dlog(a), dlog(b))), "dlog a ^ dlog b is log-fixed")
 
 
 def _section_certificates(rng: random.Random) -> None:
@@ -461,10 +470,15 @@ def _section_certificates(rng: random.Random) -> None:
             lhs = d(v)
             for bb, kk in zip(bs, ks):
                 lhs = lhs.scale(bb**kk)
-            assert verify_certificate(lhs, rhs, cert)
+            _check(
+                verify_certificate(lhs, rhs, cert), "monomial split certificate verifies"
+            )
             t = rng.randint(1, 2)
             red = exponent_reduction(bs, [k + p for k in ks], t, v)
-            assert verify_certificate(red.lhs_value(), red.rhs_value(), red.certificate)
+            _check(
+                verify_certificate(red.lhs_value(), red.rhs_value(), red.certificate),
+                "exponent reduction certificate verifies",
+            )
 
 
 def _section_oracle(rng: random.Random) -> None:
@@ -475,7 +489,10 @@ def _section_oracle(rng: random.Random) -> None:
         bounds = SearchBounds(8, (fld.const_poly(1), xv.num, (xv * xv).num))
         for _ in range(12):
             w = random_form_rng(fld, 1, 5, 2, rng, den_pool=pool)
-            assert is_exact(w) == exhaustive_exactness(w, bounds)
+            _check(
+                is_exact(w) == exhaustive_exactness(w, bounds),
+                "exactness rule agrees with the bounded search",
+            )
 
 
 def _section_extensions(rng: random.Random) -> None:
@@ -485,12 +502,21 @@ def _section_extensions(rng: random.Random) -> None:
     for _ in range(40):
         n = rng.randint(0, 2)
         w = random_form_rng(fld, n, 2, 2, rng)
-        assert omega_kernel_member(w, data) == restrict(w, ext).is_zero()
+        _check(
+            omega_kernel_member(w, data) == restrict(w, ext).is_zero(),
+            "syntactic kernel test agrees with restriction",
+        )
         if n <= 1:
-            assert restrict(d(w), ext) == d(restrict(w, ext))
+            _check(
+                restrict(d(w), ext) == d(restrict(w, ext)),
+                "restriction commutes with d",
+            )
     for _ in range(20):
         f = random_ratfunc(fld, rng, 3, 3)
-        assert square_class_kernel(f, data) == square_class_kernel_oracle(f, ext)
+        _check(
+            square_class_kernel(f, data) == square_class_kernel_oracle(f, ext),
+            "square-class kernel test agrees with its oracle",
+        )
 
 
 def _section_witt(rng: random.Random) -> None:
@@ -499,7 +525,10 @@ def _section_witt(rng: random.Random) -> None:
     ext = build_adapted(fld, AdaptedData(((0, 2),)))
     for s in [y, x + y, fld.one()]:
         for g in quad_kernel_generators(((x, 2),), [s]):
-            assert hyperbolicity_certificate(g, ext).verify()
+            _check(
+                hyperbolicity_certificate(g, ext).verify(),
+                "hyperbolicity chain verifies",
+            )
     ext1 = build_adapted(fld, AdaptedData(((0, 1),)))
     bilinear_kernel_generators(ext1, [x, x * y * y, fld.one()])
 
@@ -529,6 +558,10 @@ def _cmd_selftest(options: dict, seed: int) -> tuple[int, dict]:
             rows.append({"section": name, "status": "pass"})
         except AssertionError as exc:
             rows.append({"section": name, "status": "fail", "detail": str(exc)})
+            failed = True
+        except Exception as exc:  # a section that crashes has failed too
+            detail = f"{type(exc).__name__}: {exc}"
+            rows.append({"section": name, "status": "fail", "detail": detail})
             failed = True
     return (1 if failed else 0), {
         "kernels": IMPL_NAME,
@@ -672,30 +705,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(message: str) -> int:
+    """Print the JSON report of an input rejected before any job runs."""
+    print(json.dumps({"format": REPORT_FORMAT, "error": message}, indent=2))
+    return 3
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    seed = int(os.environ.get("KATOFORMS_SEED", DEFAULT_SEED))
+    env_seed = os.environ.get("KATOFORMS_SEED", str(DEFAULT_SEED))
+    try:
+        seed = int(env_seed)
+    except ValueError:
+        return _input_error(f"KATOFORMS_SEED must be an integer, got {env_seed!r}")
     if ns.job:
         try:
             with open(ns.job, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"format": REPORT_FORMAT, "error": str(exc)}, indent=2))
-            return 3
+            return _input_error(str(exc))
         if (
             not isinstance(doc, dict)
             or not isinstance(doc.get("command"), str)
             or not isinstance(doc.get("options", {}), dict)
             or not isinstance(doc.get("seed", 0), int)
         ):
-            print(
-                json.dumps(
-                    {"format": REPORT_FORMAT, "error": "malformed job document"},
-                    indent=2,
-                )
-            )
-            return 3
+            return _input_error("malformed job document")
         job = JobSpec(
             command=doc["command"],
             options=doc.get("options", {}),

@@ -28,7 +28,7 @@ checks them against the independent bounded search in ``oracle``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DegreeMismatch, FieldMismatch, NotClosed, NotExact
 from .fields import (
@@ -198,14 +198,6 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             else:
                 out[merged] = s
     return DiffForm(field, degree, out)
-
-
-def wedge_all(forms: Iterable[DiffForm]) -> DiffForm:
-    forms = list(forms)
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
 
 
 def d(omega: DiffForm) -> DiffForm:

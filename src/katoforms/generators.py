@@ -168,18 +168,20 @@ def kernel_generators(
 # -- vanishing over the extension ---------------------------------------------
 
 
-def _adapted_slots(g: GeneratorInstance, ext: ExtensionSpec) -> list[int]:
-    """Source-variable index for each pair; the extension must be adapted to them."""
+def adapted_slots(
+    pairs: Sequence[tuple[RatFunc, int]], ext: ExtensionSpec, needs: str
+) -> list[int]:
+    """Source-variable index for each pair; the extension must be adapted to them.
+
+    ``needs`` names the construction in the error raised for an extension
+    without adapted data.
+    """
     if ext.adapted is None:
-        raise UnsupportedExtension("vanishing witnesses need an adapted extension")
+        raise UnsupportedExtension(f"{needs} need an adapted extension")
     source = ext.source
     slots = []
-    for b, m in g.spec.pairs:
-        idx = None
-        for i in range(source.nvars):
-            if b == source.var(i):
-                idx = i
-                break
+    for b, m in pairs:
+        idx = next((i for i in range(source.nvars) if b == source.var(i)), None)
         if idx is None or ext.adapted.exponent_of(idx) != m:
             raise UnsupportedExtension(
                 "generator data is not among the distinguished variables"
@@ -197,7 +199,7 @@ def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
     the t-fold semilinear power of a p-th-power multiple of an exact form:
     the power telescopes into the wp slot and the rest into the exact slot.
     """
-    slots = _adapted_slots(g, ext)
+    slots = adapted_slots(g.spec.pairs, ext, "vanishing witnesses")
     target = ext.target
     p = target.p
     value_e = restrict(g.value, ext)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .certificates import Certificate, verify_certificate
-from .errors import DegreeMismatch
+from .errors import CertificateFailed, DegreeMismatch
 from .fields import (
     FunctionField,
     MultiPoly,
@@ -35,13 +35,8 @@ from .fields import (
 from .forms import DiffForm, d, wp
 from .kernels import gauss_solve
 
-
-def solve_linear_fp(rows: list, rhs: list, p: int) -> Optional[list]:
-    """One exact solution of the system over F_p, or None when infeasible.
-
-    Underdetermined systems return a witness with free variables at zero.
-    """
-    return gauss_solve(rows, rhs, p)
+# The shared exact linear solver, exported under its oracle name.
+solve_linear_fp = gauss_solve
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ def _solve_for_combination(
         return [0] * len(columns)
     rows = [[vec.get(key, 0) for vec in col_vecs] for key in keys]
     rhs = [target_vec.get(key, 0) for key in keys]
-    return solve_linear_fp(rows, rhs, field.p)
+    return gauss_solve(rows, rhs, field.p)
 
 
 def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certificate]:
@@ -147,7 +142,8 @@ def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certifica
         else:
             eta = eta + piece
     cert = Certificate(u=u, eta=eta, field=field)
-    assert verify_certificate(omega, DiffForm.zero(field, n), cert)
+    if not verify_certificate(omega, DiffForm.zero(field, n), cert):
+        raise CertificateFailed("oracle solution failed to verify")
     return cert
 
 
@@ -169,7 +165,11 @@ def exhaustive_exactness(omega: DiffForm, bounds: SearchBounds) -> bool:
 
 
 def artin_schreier_search(c: RatFunc, bounds: SearchBounds) -> Optional[RatFunc]:
-    """Bounded solution u of u^p - u = c; degree-0 specialization of the solver."""
+    """Bounded search for u with u^p - u = c; absence is bound-relative.
+
+    This is the degree-0 specialization of the solver; ``witt`` exports it
+    as ``artin_schreier_solve``.
+    """
     field = c.field
     cert = solve_wp_plus_d(DiffForm.scalar(field, c), bounds)
     if cert is None:

@@ -34,8 +34,9 @@ from .errors import (
 from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, dlog, wedge
-from .generators import power_patterns
-from .oracle import SearchBounds, artin_schreier_search
+from .generators import adapted_slots, power_patterns
+# the witt-layer name of the bounded Artin-Schreier search
+from .oracle import artin_schreier_search as artin_schreier_solve
 
 Matrix = list  # list of list of RatFunc
 
@@ -474,23 +475,6 @@ def restrict_quad(q: QuadForm, ext: ExtensionSpec) -> QuadForm:
     )
 
 
-def _generator_slots(g: WittGenerator, ext: ExtensionSpec) -> list[int]:
-    if ext.adapted is None:
-        raise UnsupportedExtension("hyperbolicity chains need an adapted extension")
-    source = ext.source
-    slots = []
-    for b, m in g.pairs:
-        idx = next(
-            (i for i in range(source.nvars) if b == source.var(i)), None
-        )
-        if idx is None or ext.adapted.exponent_of(idx) != m:
-            raise UnsupportedExtension(
-                "generator data is not among the distinguished variables"
-            )
-        slots.append(idx)
-    return slots
-
-
 def hyperbolicity_certificate(
     g: WittGenerator, ext: ExtensionSpec
 ) -> HyperbolicityChain:
@@ -503,7 +487,7 @@ def hyperbolicity_certificate(
     [s, g0^2] perp [g0^2, s], which carries the diagonal Lagrangian
     {(1,0,0,1), (0,1,1,0)}.
     """
-    slots = _generator_slots(g, ext)
+    slots = adapted_slots(g.pairs, ext, "hyperbolicity chains")
     target = ext.target
     one = target.one()
     zero = target.zero()
@@ -645,8 +629,3 @@ def kato_f(sym: PfisterSymbol) -> DiffForm:
     for a in sym.slots:
         out = wedge(out, dlog(a))
     return out
-
-
-def artin_schreier_solve(c: RatFunc, bounds: SearchBounds) -> Optional[RatFunc]:
-    """Bounded search for u with u^p - u = c; absence is bound-relative."""
-    return artin_schreier_search(c, bounds)

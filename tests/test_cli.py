@@ -8,6 +8,7 @@ from katoforms import (
     AdaptedData,
     FunctionField,
     InsepCert,
+    NotClosed,
     build_adapted,
     build_embedding,
     extension_to_json,
@@ -176,11 +177,12 @@ def test_selftest_sections():
     assert statuses["forms"] == "skipped"
 
 
-def test_selftest_names_corrupted_section(monkeypatch):
+@pytest.mark.parametrize("error", [AssertionError, NotClosed])
+def test_selftest_names_corrupted_section(monkeypatch, error):
     from katoforms import cli as cli_mod
 
     def broken(rng):
-        raise AssertionError("cartier identity violated")
+        raise error("cartier identity violated")
 
     monkeypatch.setitem(cli_mod._SELFTEST_SECTIONS, "forms", broken)
     code, report = _run("selftest")
@@ -243,9 +245,12 @@ def test_malformed_job_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("KATOFORMS_SEED", "424242")
-    code = main(["selftest", "--sections", "fields"])
+@pytest.mark.parametrize("value, code", [("424242", 0), ("abc", 3)])
+def test_seed_env_override(monkeypatch, capsys, value, code):
+    monkeypatch.setenv("KATOFORMS_SEED", value)
+    assert main(["selftest", "--sections", "fields"]) == code
     report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert report["seed"] == 424242
+    if code == 0:
+        assert report["seed"] == 424242
+    else:
+        assert "KATOFORMS_SEED" in report["error"]

@@ -1,6 +1,11 @@
 """Bounded brute-force solver: contracts, agreement, monotonicity."""
 
+import random
+
+import pytest
+
 from katoforms import (
+    CertificateFailed,
     DiffForm,
     FunctionField,
     SearchBounds,
@@ -24,6 +29,22 @@ def test_solve_linear_fp_canned_systems():
     assert sol is not None and (sol[0] + sol[1]) % 2 == 1
     # infeasible
     assert solve_linear_fp([[1, 0], [1, 0]], [1, 2], 3) is None
+    # inputs are not modified
+    rows, rhs = [[1, 2], [0, 1]], [1, 2]
+    solve_linear_fp(rows, rhs, 3)
+    assert rows == [[1, 2], [0, 1]] and rhs == [1, 2]
+    # random systems with unreduced entries: every solution satisfies them
+    gen = random.Random(2)
+    for _ in range(300):
+        p = gen.choice([2, 3, 5])
+        n = gen.randint(0, 6)
+        m = gen.randint(1, 6)
+        rows = [[gen.randrange(-p, 2 * p) for _ in range(m)] for _ in range(n)]
+        rhs = [gen.randrange(-p, 2 * p) for _ in range(n)]
+        sol = solve_linear_fp(rows, rhs, p)
+        if sol is not None and n:
+            for row, t in zip(rows, rhs):
+                assert sum(c * x for c, x in zip(row, sol)) % p == t % p
 
 
 def test_wp_plus_d_examples(f2x):
@@ -35,6 +56,14 @@ def test_wp_plus_d_examples(f2x):
     cert = solve_wp_plus_d(dx.scale(x), bounds)
     assert cert is not None
     assert verify_certificate(dx.scale(x), DiffForm.zero(f2x, 1), cert)
+
+
+def test_unverified_solution_is_refused(f2x, monkeypatch):
+    # the oracle re-checks its own answer, also under python -O
+    monkeypatch.setattr("katoforms.oracle.verify_certificate", lambda *a: False)
+    dx = DiffForm.basis(f2x, (0,))
+    with pytest.raises(CertificateFailed):
+        solve_wp_plus_d(dx, SearchBounds(2, (f2x.const_poly(1),)))
 
 
 def test_wp_plus_d_refutes_within_bounds(f2xy):
