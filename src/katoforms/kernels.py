@@ -6,6 +6,8 @@ in ``1..p-1``.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
+from itertools import compress
+
 # Named in every selftest report and in the benchmark's result files.
 IMPL_NAME = "python (fallback)"
 
@@ -49,46 +51,61 @@ def gauss_solve(rows: list, rhs: list, p: int) -> list | None:
 
     Free variables are set to zero, so underdetermined systems still
     return a witness.  Inputs are not modified.
+
+    Elimination runs over the nonzero entries only.  Columns are taken
+    from left to right; the pivot of a column is the lightest row not yet
+    used as a pivot that has a nonzero entry there (ties go to the lower
+    row index), as in structured Gaussian elimination.  The pivot columns
+    are therefore the leftmost independent ones, and back-substitution
+    gives the unique solution supported on them, whatever rows were chosen.
     """
     n = len(rows)
     if n == 0:
         return []
     m = len(rows[0])
-    a = [[v % p for v in row] for row in rows]
+    # compress skips the zero cells at C speed; rows of the oracle are mostly zeros
+    cols = range(m)
+    a = [{j: v for j in compress(cols, row) if (v := row[j] % p)} for row in rows]
     b = [v % p for v in rhs]
+    # holders[j]: the rows not yet used as pivots with a nonzero entry in column j
+    holders: list[set] = [set() for _ in range(m)]
+    for i, row in enumerate(a):
+        for j in row:
+            holders[j].add(i)
 
-    pivot_cols = []
-    r = 0
+    pivots = []
     for col in range(m):
-        piv = None
-        for i in range(r, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
+        if not holders[col]:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = pow(a[r][col], p - 2, p)
+        r = min(holders[col], key=lambda i: (len(a[i]), i))
+        pr = a[r]
+        for j in pr:
+            holders[j].discard(r)
+        inv = pow(pr[col], p - 2, p)
         if inv != 1:
-            a[r] = [(v * inv) % p for v in a[r]]
+            for j in pr:
+                pr[j] = (pr[j] * inv) % p
             b[r] = (b[r] * inv) % p
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                ri = a[i]
-                rr = a[r]
-                for j in range(col, m):
-                    ri[j] = (ri[j] - f * rr[j]) % p
-                b[i] = (b[i] - f * b[r]) % p
-        pivot_cols.append(col)
-        r += 1
-        if r == n:
+        for i in list(holders[col]):
+            ri = a[i]
+            f = ri[col]
+            for j, v in pr.items():
+                s = (ri.get(j, 0) - f * v) % p
+                if s:
+                    if j not in ri:
+                        holders[j].add(i)
+                    ri[j] = s
+                elif j in ri:
+                    del ri[j]
+                    holders[j].discard(i)
+            b[i] = (b[i] - f * b[r]) % p
+        pivots.append((col, r))
+        if len(pivots) == n:
             break
-    for i in range(r, n):
-        if b[i] % p:
-            return None
+    pivot_rows = {r for _, r in pivots}
+    if any(b[i] for i in range(n) if i not in pivot_rows):
+        return None
     x = [0] * m
-    for i, col in enumerate(pivot_cols):
-        x[col] = b[i]
+    for col, r in reversed(pivots):
+        x[col] = (b[r] - sum(v * x[j] for j, v in a[r].items() if j != col)) % p
     return x

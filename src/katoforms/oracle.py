@@ -11,6 +11,19 @@ system over F_p is an exhaustive search of that space: a solution is a
 verified certificate, and absence means no witness exists *within the
 bounds* — a semi-decision, never an unqualified negative.
 
+The system is written over one fixed denominator D = lcm(L^p, denominators
+of omega), where L is the lcm of the candidate denominators.  A candidate
+is a/b with a a single term, so its images have closed forms over D:
+
+    wp(a/b dx_I) = (a^p x_I^(p-1) - a b^(p-1)) * D/b^p          at I,
+    d(a/b dx_J)  = sum_i sign * (d_i a * b - a * d_i b) * D/b^2   at i + J,
+
+and every column is a shifted, scaled copy of a few cofactors computed once
+per distinct b; no gcd is taken per column.  ``gauss_solve`` eliminates the
+columns from left to right, so the pivot columns are the leftmost
+independent ones and the solution (free variables zero) does not depend on
+D, on the row order or on the pivot rows chosen.
+
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
 """
@@ -19,10 +32,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .certificates import Certificate, verify_certificate
-from .errors import CertificateFailed, DegreeMismatch
+from .errors import CertificateFailed, DegreeMismatch, FieldMismatch, ZeroDenominator
 from .fields import (
     FunctionField,
     MultiPoly,
@@ -30,9 +43,8 @@ from .fields import (
     all_monomials,
     poly_exact_div,
     poly_gcd,
-    ratfunc_normalize,
 )
-from .forms import DiffForm, d, wp
+from .forms import DiffForm, _merge_sign
 from .kernels import gauss_solve
 
 # The shared exact linear solver, exported under its oracle name.
@@ -46,60 +58,167 @@ class SearchBounds:
     max_degree: int
     denominators: tuple[MultiPoly, ...] = dc_field(default=())
 
+    def __post_init__(self) -> None:
+        if self.max_degree < 0:
+            raise ValueError(f"degree bound {self.max_degree} is negative")
+
     def describe(self) -> str:
         dens = ", ".join(repr(dn) for dn in self.denominators) or "1"
         return f"numerator total degree <= {self.max_degree}, denominators {{{dens}}}"
 
     def candidate_functions(self, field: FunctionField) -> list[RatFunc]:
+        """Every mono/den in lowest terms, once, in (den, graded-lex) order.
+
+        gcd(x^e, den) = x^min(e, ord(den)), where ord(den) is the largest
+        monomial dividing den, so each fraction is reduced without a gcd.
+        """
         dens = list(self.denominators) or [field.const_poly(1)]
+        exps = [next(iter(mono.terms)) for mono in all_monomials(field, self.max_degree)]
+        p = field.p
         seen = set()
         out = []
         for den in dens:
-            for mono in all_monomials(field, self.max_degree):
-                f = ratfunc_normalize(mono, den)
-                if f.is_zero() or f in seen:
+            if den.field != field:
+                raise FieldMismatch(f"{den.field} vs {field}")
+            if den.is_zero():
+                raise ZeroDenominator("zero denominator")
+            order = tuple(min(column) for column in zip(*den.terms))
+            inv = field.prime.inv(den.leading()[1])
+            reduced: dict = {}
+            for e in exps:
+                g = tuple(map(min, e, order))
+                if g not in reduced:
+                    reduced[g] = MultiPoly(
+                        field,
+                        {_minus(exp, g): (c * inv) % p for exp, c in den.terms.items()},
+                    )
+                f = RatFunc(field, MultiPoly(field, {_minus(e, g): inv}), reduced[g])
+                if f in seen:
                     continue
                 seen.add(f)
                 out.append(f)
         return out
 
 
+def _minus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return poly_exact_div(a * b, poly_gcd(a, b)).monic()
 
 
-def _vectorize(
-    forms: Sequence[DiffForm], field: FunctionField
-) -> tuple[list[dict], MultiPoly]:
-    """Coefficient dictionaries of the forms over one common denominator."""
-    common = field.const_poly(1)
-    for f in forms:
-        for c in f.coeffs.values():
-            common = _poly_lcm(common, c.den)
-    vecs = []
-    for f in forms:
-        entries: dict = {}
-        for idx, c in f.coeffs.items():
-            cleared = c.num * poly_exact_div(common, c.den)
-            for exp, coeff in cleared.terms.items():
-                entries[(idx, exp)] = coeff
-        vecs.append(entries)
-    return vecs, common
+def _common_denominator(dens: list[MultiPoly], omega: DiffForm) -> MultiPoly:
+    """D = lcm(L^p, denominators of omega), L the lcm of the candidate denominators."""
+    lcm = omega.field.const_poly(1)
+    for b in dens:
+        lcm = _poly_lcm(lcm, b)
+    common = lcm.frobenius_power()
+    for c in omega.coeffs.values():
+        common = _poly_lcm(common, c.den)
+    return common
 
 
-def _solve_for_combination(
-    target: DiffForm, columns: list[tuple[DiffForm, int, object]]
-) -> Optional[list[int]]:
-    """Coefficients lambda with sum lambda_i * col_i = target, or None."""
-    field = target.field
-    vecs, _ = _vectorize([c[0] for c in columns] + [target], field)
-    col_vecs, target_vec = vecs[:-1], vecs[-1]
-    keys = sorted(set().union(target_vec, *col_vecs)) if col_vecs else sorted(target_vec)
-    if not keys:
-        return [0] * len(columns)
-    rows = [[vec.get(key, 0) for vec in col_vecs] for key in keys]
-    rhs = [target_vec.get(key, 0) for key in keys]
-    return gauss_solve(rows, rhs, field.p)
+class Cofactors:
+    """D/b^p, D/b and d_i(b) * D/b^2 for one candidate denominator b."""
+
+    __slots__ = ("over_bp", "over_b", "d_over_b2")
+
+    def __init__(self, common: MultiPoly, b: MultiPoly):
+        p = b.field.p
+        over_bp = poly_exact_div(common, b ** p)
+        over_b2 = over_bp * b ** (p - 2)
+        self.over_bp = over_bp.terms
+        self.over_b = (over_b2 * b).terms
+        self.d_over_b2 = [(b.partial(i) * over_b2).terms for i in range(b.field.nvars)]
+
+
+def _add_shifted(
+    col: dict, idx: tuple, terms: dict, shift: tuple[int, ...], c: int, p: int
+) -> None:
+    """col[(idx, exp + shift)] += c * terms[exp] over F_p, dropping zeros."""
+    for exp, v in terms.items():
+        key = (idx, tuple(e + s for e, s in zip(exp, shift)))
+        s = (col.get(key, 0) + c * v) % p
+        if s:
+            col[key] = s
+        else:
+            col.pop(key, None)
+
+
+def wp_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors) -> dict:
+    """wp(fn dx_idx) times D as {(idx, exp): coeff}; fn = c x^k / b."""
+    p = fn.field.p
+    ((k, c),) = fn.num.terms.items()
+    shift = [p * e for e in k]
+    for i in idx:
+        shift[i] += p - 1
+    col: dict = {}
+    _add_shifted(col, idx, cof.over_bp, tuple(shift), c, p)
+    _add_shifted(col, idx, cof.over_b, k, -c, p)
+    return col
+
+
+def d_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors) -> dict:
+    """d(fn dx_idx) times D as {(merged idx, exp): coeff}; fn = c x^k / b."""
+    p = fn.field.p
+    ((k, c),) = fn.num.terms.items()
+    col: dict = {}
+    for i in range(fn.field.nvars):
+        merged, sign = _merge_sign((i,), idx)
+        if merged is None:
+            continue
+        if k[i] % p:
+            shift = tuple(e - (j == i) for j, e in enumerate(k))
+            _add_shifted(col, merged, cof.over_b, shift, sign * c * k[i], p)
+        _add_shifted(col, merged, cof.d_over_b2[i], k, -sign * c, p)
+    return col
+
+
+def _solve_columns(
+    omega: DiffForm, bounds: SearchBounds, with_wp: bool
+) -> tuple[list[tuple[int, tuple, RatFunc]], Optional[list[int]]]:
+    """The columns (kind, idx, fn) with a nonzero image, and the lambda with
+    sum lambda_j * image_j = omega, or None if there is none.
+
+    Kind 0 is wp(fn dx_idx), built only ``with_wp``; kind 1 is d(fn dx_idx).
+    """
+    field = omega.field
+    n = omega.degree
+    candidates = bounds.candidate_functions(field)
+    dens = list(dict.fromkeys(f.den for f in candidates))
+    common = _common_denominator(dens, omega)
+    cofactors = {b: Cofactors(common, b) for b in dens}
+    columns: list[tuple[int, tuple, RatFunc]] = []
+    vecs: list[dict] = []
+    kinds = ([(0, n, wp_column)] if with_wp else []) + [(1, n - 1, d_column)]
+    for kind, degree, image in kinds:
+        if degree < 0:
+            continue
+        for idx in itertools.combinations(range(field.nvars), degree):
+            for fn in candidates:
+                vec = image(idx, fn, cofactors[fn.den])
+                if vec:
+                    columns.append((kind, idx, fn))
+                    vecs.append(vec)
+    target = {}
+    for idx, c in omega.coeffs.items():
+        for exp, v in (c.num * poly_exact_div(common, c.den)).terms.items():
+            target[(idx, exp)] = v
+    row_of: dict = {}
+    for vec in vecs + [target]:
+        for key in vec:
+            row_of.setdefault(key, len(row_of))
+    if not row_of:
+        return columns, [0] * len(columns)
+    rows = [[0] * len(vecs) for _ in range(len(row_of))]
+    for j, vec in enumerate(vecs):
+        for key, v in vec.items():
+            rows[row_of[key]][j] = v
+    rhs = [0] * len(row_of)
+    for key, v in target.items():
+        rhs[row_of[key]] = v
+    return columns, gauss_solve(rows, rhs, field.p)
 
 
 def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certificate]:
@@ -112,27 +231,12 @@ def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certifica
     n = omega.degree
     if n < 0 or n > field.nvars:
         raise DegreeMismatch(f"degree {n} out of range")
-    candidates = bounds.candidate_functions(field)
-    columns: list[tuple[DiffForm, int, object]] = []
-    for idx in itertools.combinations(range(field.nvars), n):
-        for fn in candidates:
-            basis = DiffForm.from_coeffs(field, n, {idx: fn})
-            image = wp(basis)
-            if not image.is_zero():
-                columns.append((image, 0, (idx, fn)))
-    if n >= 1:
-        for idx in itertools.combinations(range(field.nvars), n - 1):
-            for fn in candidates:
-                basis = DiffForm.from_coeffs(field, n - 1, {idx: fn})
-                image = d(basis)
-                if not image.is_zero():
-                    columns.append((image, 1, (idx, fn)))
-    sol = _solve_for_combination(omega, columns)
+    columns, sol = _solve_columns(omega, bounds, with_wp=True)
     if sol is None:
         return None
     u = DiffForm.zero(field, n)
     eta = DiffForm.zero(field, n - 1)
-    for lam, (_, kind, (idx, fn)) in zip(sol, columns):
+    for lam, (kind, idx, fn) in zip(sol, columns):
         if lam % field.p == 0:
             continue
         piece_degree = n if kind == 0 else n - 1
@@ -153,15 +257,7 @@ def exhaustive_exactness(omega: DiffForm, bounds: SearchBounds) -> bool:
     n = omega.degree
     if n < 1 or n > field.nvars:
         return omega.is_zero()
-    candidates = bounds.candidate_functions(field)
-    columns: list[tuple[DiffForm, int, object]] = []
-    for idx in itertools.combinations(range(field.nvars), n - 1):
-        for fn in candidates:
-            basis = DiffForm.from_coeffs(field, n - 1, {idx: fn})
-            image = d(basis)
-            if not image.is_zero():
-                columns.append((image, 1, (idx, fn)))
-    return _solve_for_combination(omega, columns) is not None
+    return _solve_columns(omega, bounds, with_wp=False)[1] is not None
 
 
 def artin_schreier_search(c: RatFunc, bounds: SearchBounds) -> Optional[RatFunc]:

@@ -73,6 +73,15 @@ def test_malformed_input_is_exit_3():
     assert "error" in report
 
 
+def test_negative_degree_bound_is_exit_3(capsys):
+    # an empty candidate set is no bound to report "absent" against
+    code, report = _run("classify", form="x dx", field="F2(x)", deg=-1)
+    assert code == 3
+    assert "negative" in report["error"]
+    assert main(["oracle-solve", "--form", "x dx", "--field", "F2(x)", "--deg", "-1"]) == 3
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_unknown_command():
     code, report = run(JobSpec(command="nope", options={}))
     assert code == 3

@@ -1,5 +1,6 @@
 """Bounded brute-force solver: contracts, agreement, monotonicity."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,16 +10,21 @@ from katoforms import (
     DiffForm,
     FunctionField,
     SearchBounds,
+    ZeroDenominator,
     d,
     dlog,
     exhaustive_exactness,
     is_exact,
+    ratfunc_normalize,
     solve_linear_fp,
     solve_wp_plus_d,
     verify_certificate,
     wp,
 )
+from katoforms.fields import all_monomials
 from katoforms.forms import random_form_rng
+from katoforms.oracle import artin_schreier_search
+from katoforms.sexpr import print_certificate, print_ratfunc
 
 
 def test_solve_linear_fp_canned_systems():
@@ -45,6 +51,65 @@ def test_solve_linear_fp_canned_systems():
         if sol is not None and n:
             for row, t in zip(rows, rhs):
                 assert sum(c * x for c, x in zip(row, sol)) % p == t % p
+
+
+def _dense_gauss_jordan(rows, rhs, p):
+    """Reference: dense reduced row echelon form, free variables zero."""
+    a = [[v % p for v in row] + [t % p] for row, t in zip(rows, rhs)]
+    m = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], p - 2, p)
+        a[r] = [(v * inv) % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+    if any(row[-1] for row in a[len(pivots):]):
+        return None
+    x = [0] * m
+    for r, col in enumerate(pivots):
+        x[col] = a[r][-1]
+    return x
+
+
+def test_gauss_solve_matches_dense_reference():
+    # the solution itself, not only its residual: certificates depend on it
+    gen = random.Random(7)
+    kinds = {"infeasible": 0, "deficient": 0, "empty": 0}
+    for _ in range(300):
+        p = gen.choice([2, 3, 5])
+        n = gen.randint(0, 7)
+        m = gen.randint(0, 7)
+        # rank at most k: rows are combinations of k random rows
+        k = gen.randint(0, min(n, m))
+        base = [[gen.randrange(p) for _ in range(m)] for _ in range(k)]
+        rows = []
+        for _ in range(n):
+            mix = [gen.randrange(p) for _ in range(k)]
+            rows.append([sum(c * b[j] for c, b in zip(mix, base)) for j in range(m)])
+        for j in gen.sample(range(m), gen.randint(0, m)) if gen.random() < 0.3 else []:
+            for row in rows:
+                row[j] = 0
+        # unreduced entries must be read mod p
+        rows = [[v + p * gen.randint(-1, 1) for v in row] for row in rows]
+        if gen.random() < 0.5:
+            x0 = [gen.randrange(p) for _ in range(m)]
+            rhs = [sum(c * x for c, x in zip(row, x0)) for row in rows]
+        else:
+            rhs = [gen.randrange(-p, 2 * p) for _ in range(n)]
+        expected = _dense_gauss_jordan(rows, rhs, p) if n else []
+        assert solve_linear_fp(rows, rhs, p) == expected
+        kinds["infeasible"] += expected is None
+        kinds["deficient"] += k < min(n, m)
+        kinds["empty"] += n == 0 or m == 0 or any(not any(r) for r in rows)
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 def test_wp_plus_d_examples(f2x):
@@ -141,3 +206,97 @@ def test_constructed_members_found(rng):
         eta = random_form_rng(fld, 0, 2, 2, rng, den_pool=pool)
         w = wp(u) + d(eta)
         assert solve_wp_plus_d(w, bounds) is not None
+
+
+def test_negative_degree_bound_is_refused(f2x):
+    with pytest.raises(ValueError):
+        SearchBounds(-1, (f2x.const_poly(1),))
+
+
+def test_candidates_are_reduced_fractions(f3xy):
+    # the closed-form reduction agrees with ratfunc_normalize, order included
+    x, y = f3xy.var_poly(0), f3xy.var_poly(1)
+    one = f3xy.const_poly(1)
+    for dens in [(), (one, x, y, x + y), (x.scale(2) + y, x * y, one.scale(2)),
+                 (x * x * y + x * y * y, x * x)]:
+        bounds = SearchBounds(4, dens)
+        expected = []
+        for den in dens or (one,):
+            for mono in all_monomials(f3xy, 4):
+                f = ratfunc_normalize(mono, den)
+                if f not in expected:
+                    expected.append(f)
+        assert bounds.candidate_functions(f3xy) == expected
+    with pytest.raises(ZeroDenominator):
+        SearchBounds(2, (one, f3xy.zero_poly())).candidate_functions(f3xy)
+
+
+# -- pinned certificates ---------------------------------------------------------
+
+
+def _span_form(fld, n, deg, dens, gen, terms=2):
+    """n-form whose coefficients are bounded monomials over dens (within bounds)."""
+    coeffs = {}
+    for _ in range(terms):
+        idx = tuple(sorted(gen.sample(range(fld.nvars), n)))
+        exp = [0] * fld.nvars
+        for _ in range(gen.randint(0, deg)):
+            exp[gen.randrange(fld.nvars)] += 1
+        c = ratfunc_normalize(
+            fld.monomial(tuple(exp), gen.randint(1, fld.p - 1)), gen.choice(dens)
+        )
+        coeffs[idx] = c if idx not in coeffs else coeffs[idx] + c
+    return DiffForm.from_coeffs(fld, n, coeffs)
+
+
+def _pinned_cases():
+    """(omega, bounds) pairs: members, near misses and nonzero classes."""
+    gen = random.Random(31337)
+    cases = []
+
+    def add(fld, n, deg, dens, members=2, misses=1):
+        bounds = SearchBounds(deg, tuple(dens))
+        for _ in range(members):
+            u = _span_form(fld, n, deg, dens, gen)
+            w = wp(u)
+            if n >= 1:
+                w = w + d(_span_form(fld, n - 1, deg, dens, gen))
+            cases.append((w, bounds))
+        if n >= 1:
+            cases.append((d(_span_form(fld, n - 1, deg, dens, gen)), bounds))
+        for _ in range(misses):
+            cases.append((_span_form(fld, n, deg + 2, dens, gen), bounds))
+
+    f3 = FunctionField.make(3, ["x", "y"])
+    x, y = f3.var_poly(0), f3.var_poly(1)
+    one = f3.const_poly(1)
+    add(f3, 1, 7, [one, x, y, x + y], members=3)
+    add(f3, 1, 4, [one, x.scale(2) + y])
+    add(f3, 1, 4, [one, x, x * y])
+    f2 = FunctionField.make(2, ["x", "y", "z"])
+    add(f2, 2, 3, [f2.const_poly(1), f2.var_poly(0)])
+    # y dx/x: a nonzero class, absent at any bounds
+    cases.append((dlog(f3.var(0)).scale(f3.var(1)), SearchBounds(5, (one, x))))
+    return cases
+
+
+def test_pinned_certificates():
+    # the oracle's answers are a function of the inputs alone: any change to
+    # the candidate space, the columns or the elimination shows up here
+    h = hashlib.sha256()
+    exact = []
+    for omega, bounds in _pinned_cases():
+        cert = solve_wp_plus_d(omega, bounds)
+        h.update((print_certificate(cert) if cert is not None else "absent").encode())
+        exact.append(exhaustive_exactness(omega, bounds))
+    f2xy = FunctionField.make(2, ["x", "y"])
+    x = f2xy.var(0)
+    for c in (x * x + x, x.inv() * x.inv() + x.inv(), x * x * x + x):
+        for bounds in (SearchBounds(0, (f2xy.const_poly(1), x.num)),
+                       SearchBounds(3, (f2xy.const_poly(1), x.num))):
+            u = artin_schreier_search(c, bounds)
+            h.update((print_ratfunc(u) if u is not None else "absent").encode())
+    assert h.hexdigest() == (
+        "892a74984550e9f7b5ebbc145a33863919de48baa0e3a7f6d7df3d0c27507c14"
+    )
+    assert exact == [False, False, False, True] * 4 + [False, False]
