@@ -29,6 +29,7 @@ construction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,6 +37,7 @@ from .errors import BadExponent, DegreeMismatch
 from .fields import FunctionField, RatFunc
 from .forms import (
     DiffForm,
+    accumulate,
     cartier_raw,
     d,
     integrate,
@@ -101,11 +103,9 @@ def power_certificate(v: DiffForm, i: int) -> tuple[DiffForm, Certificate]:
 
 
 def monomial(field: FunctionField, bs: Sequence[RatFunc], ks: Sequence[int]) -> RatFunc:
-    out = field.one()
-    for b, k in zip(bs, ks):
-        if k:
-            out = out * b**k
-    return out
+    """prod b_i^k_i, one for no nonzero exponent; a unit vector picks b_j itself."""
+    factors = [b**k for b, k in zip(bs, ks) if k]
+    return math.prod(factors[1:], start=factors[0]) if factors else field.one()
 
 
 def monomial_split_parts(
@@ -181,14 +181,7 @@ class _Accumulator:
         self.eta = DiffForm.zero(field, vdegree)
 
     def add_level(self, j: int, w: DiffForm) -> None:
-        if w.is_zero():
-            return
-        cur = self.levels.get(j)
-        merged = w if cur is None else cur + w
-        if merged.is_zero():
-            self.levels.pop(j, None)
-        else:
-            self.levels[j] = merged
+        accumulate(self.levels, j, w)
 
     def add_linear(self, i: int, w: DiffForm) -> None:
         self.linear[i] = self.linear[i] + w
@@ -380,14 +373,20 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
     replaces the unknown residual witness U by C(U), which shrinks under
     iteration until it stabilizes on a log-fixed form and the remainder
     integrates.  Sound but not complete: the certificate is verified before
-    being returned, and None only means "not found", never "refuted".
+    being returned, and None only means "not found", never "refuted".  Each
+    step depends on the running form alone, so once a form repeats the loop
+    cycles through forms that are not exact and the search stops there.
     """
     field = omega.field
     n = omega.degree
     zero_n = DiffForm.zero(field, n)
     u_total = zero_n
     cur = omega
+    seen: set[DiffForm] = set()
     for _ in range(_WITNESS_LIMIT):
+        if cur in seen:
+            return None
+        seen.add(cur)
         d_cur = d(cur)
         if not d_cur.is_zero():
             if not is_exact(d_cur):

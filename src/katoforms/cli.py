@@ -66,6 +66,7 @@ from .generators import (
     KIND_POWER,
     kernel_generators,
     make_instance,
+    unit_vector,
     vanish_certificate,
 )
 from .kernels import IMPL_NAME
@@ -137,6 +138,25 @@ def _parse_data(text: str, fld: FunctionField) -> AdaptedData:
         name, _, m = chunk.partition(":")
         pairs.append((fld.basis.index(name.strip()), int(m)))
     return AdaptedData(tuple(pairs))
+
+
+def _pairs(fld: FunctionField, data: AdaptedData) -> tuple:
+    """Generator system data ((b_i, m_i), ...) for distinguished variables."""
+    return tuple((fld.var(i), m) for i, m in data.pairs)
+
+
+def _adapted_pairs(ext, needs: str) -> tuple:
+    """The system data of an adapted extension; ``needs`` opens the error."""
+    if ext.adapted is None:
+        raise KatoformsError(f"{needs} an adapted extension spec")
+    return _pairs(ext.source, ext.adapted)
+
+
+def _pattern_doc(g) -> dict:
+    """The pattern part of a generator entry: its kind, then j or t and k."""
+    if g.kind == KIND_LINEAR:
+        return {"kind": g.kind, "j": g.j}
+    return {"kind": g.kind, "t": g.t, "k": list(g.k)}
 
 
 def _parse_bounds(options: dict, fld: FunctionField) -> SearchBounds:
@@ -225,8 +245,7 @@ def _cmd_kernel_test(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_kf_gens(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
-    if ext.adapted is None:
-        raise KatoformsError("generator enumeration needs an adapted extension spec")
+    pairs = _adapted_pairs(ext, "generator enumeration needs")
     fld = ext.source
     n = int(options["n"])
     inst_text = _read_arg(options["inst"])
@@ -235,21 +254,14 @@ def _cmd_kf_gens(options: dict, seed: int) -> tuple[int, dict]:
         for line in inst_text.splitlines()
         if line.strip()
     ]
-    pairs = tuple((fld.var(i), m) for i, m in ext.adapted.pairs)
-    gens = kernel_generators(fld, pairs, n, insts)
-    out = []
-    for g in gens:
-        entry = {
-            "kind": g.spec.kind,
+    out = [
+        {
             "trivial": g.trivial,
             "value": sexpr.print_form(g.value),
+            **_pattern_doc(g.spec),
         }
-        if g.spec.kind == KIND_LINEAR:
-            entry["j"] = g.spec.j
-        else:
-            entry["t"] = g.spec.t
-            entry["k"] = list(g.spec.k)
-        out.append(entry)
+        for g in kernel_generators(fld, pairs, n, insts)
+    ]
     return 0, {"count": len(out), "generators": out}
 
 
@@ -264,14 +276,10 @@ def _cmd_verify_cert(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_vanish_cert(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
-    if ext.adapted is None:
-        raise KatoformsError("vanishing certificates need an adapted extension spec")
-    fld = ext.source
+    pairs = _adapted_pairs(ext, "vanishing certificates need")
     n = int(options["n"])
-    inst = _load_form(options["inst"], fld)
-    pairs = tuple((fld.var(i), m) for i, m in ext.adapted.pairs)
-    kind = options.get("kind", "power")
-    if kind == "linear":
+    inst = _load_form(options["inst"], ext.source)
+    if options.get("kind", KIND_POWER) == KIND_LINEAR:
         spec = GeneratorSpec(KIND_LINEAR, pairs, n, j=int(options["j"]))
     else:
         k = tuple(int(c) for c in options["k"].split(","))
@@ -289,48 +297,37 @@ def _cmd_vanish_cert(options: dict, seed: int) -> tuple[int, dict]:
 def _cmd_witt_gens(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
     data = _parse_data(options["data"], fld)
-    pairs = tuple((fld.var(i), m) for i, m in data.pairs)
+    pairs = _pairs(fld, data)
     s_list = [
         sexpr.parse_form_text(chunk.strip(), fld).scalar_value()
         for chunk in options["s"].split(",")
         if chunk.strip()
     ]
-    gens = quad_kernel_generators(pairs, s_list)
-    out = []
-    for g in gens:
-        entry = {
-            "kind": g.kind,
+    out = [
+        {
             "s": sexpr.print_ratfunc(g.s),
             "tail": sexpr.print_ratfunc(g.tail),
             "form": sexpr.print_quadform(g.form),
+            **_pattern_doc(g),
         }
-        if g.kind == "linear":
-            entry["j"] = g.j
-        else:
-            entry["t"] = g.t
-            entry["k"] = list(g.k)
-        out.append(entry)
+        for g in quad_kernel_generators(pairs, s_list)
+    ]
     return 0, {"count": len(out), "generators": out}
 
 
 def _cmd_check_hyperbolic(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
-    if ext.adapted is None:
-        raise KatoformsError("hyperbolicity checks need an adapted extension spec")
+    pairs = _adapted_pairs(ext, "hyperbolicity checks need")
     fld = ext.source
     s = sexpr.parse_form_text(_read_arg(options["s"]), fld).scalar_value()
-    pairs = tuple((fld.var(i), m) for i, m in ext.adapted.pairs)
     candidates = quad_kernel_generators(pairs, [s])
     if options.get("j") is not None:
-        wanted = [g for g in candidates if g.kind == "linear" and g.j == int(options["j"])]
+        level = (0, unit_vector(len(pairs), int(options["j"])))
     elif options.get("t") is not None:
-        k = tuple(int(c) for c in options["k"].split(","))
-        wanted = [
-            g for g in candidates
-            if g.kind == "power" and g.t == int(options["t"]) and g.k == k
-        ]
+        level = (int(options["t"]), tuple(int(c) for c in options["k"].split(",")))
     else:
         raise KatoformsError("give either --j or --t/--k to pick the generator")
+    wanted = [g for g in candidates if g.level == level]
     if not wanted:
         raise KatoformsError("no generator matches the requested pattern")
     g = wanted[0]
@@ -602,7 +599,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return 3, report
     try:
         code, result = handler(job.options, job.seed)
-    except (KatoformsError, NotClosed, FileNotFoundError, KeyError, ValueError) as exc:
+    except (KatoformsError, NotClosed, OSError, KeyError, ValueError) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return 3, report
     report["result"] = result
@@ -666,7 +663,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (("--spec", "--ext"), {"dest": "ext", "required": True}),
         (("--n",), {"required": True, "type": int}),
         (("--inst",), {"required": True}),
-        (("--kind",), {"choices": ["linear", "power"], "default": "power"}),
+        (("--kind",), {"choices": [KIND_LINEAR, KIND_POWER], "default": KIND_POWER}),
         (("--j",), {"type": int, "default": None}),
         (("--t",), {"type": int, "default": None}),
         (("--k",), {"default": None}),
@@ -705,6 +702,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _job_option_error(
+    parser: argparse.ArgumentParser, command: str, options: dict
+) -> Optional[str]:
+    """Why a job option's value is not one its flag takes, or None.
+
+    A flag with ``type=int`` takes an int or a string, a ``store_true`` flag
+    a bool, any other flag a string, and a flag with choices one of them;
+    options of unknown commands and names no flag defines are left to the
+    command.
+    """
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    sub = subparsers.choices.get(command)
+    if sub is None:
+        return None
+    actions = {a.dest: a for a in sub._actions}
+    for name, value in options.items():
+        action = actions.get(name)
+        if action is None:
+            continue
+        if isinstance(action, argparse._StoreTrueAction):
+            ok, wanted = isinstance(value, bool), "a boolean"
+        elif action.type is int:
+            ok = isinstance(value, (int, str)) and not isinstance(value, bool)
+            wanted = "an integer or a string"
+        else:
+            ok, wanted = isinstance(value, str), "a string"
+        if action.choices is not None and value not in action.choices:
+            ok, wanted = False, f"one of {list(action.choices)}"
+        if not ok:
+            return f"option {name!r} of {command!r} must be {wanted}, got {value!r}"
+    return None
+
+
 def _input_error(message: str) -> int:
     """Print the JSON report of an input rejected before any job runs."""
     print(json.dumps({"format": REPORT_FORMAT, "error": message}, indent=2))
@@ -730,8 +762,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             or not isinstance(doc.get("command"), str)
             or not isinstance(doc.get("options", {}), dict)
             or not isinstance(doc.get("seed", 0), int)
+            or isinstance(doc.get("seed"), bool)
         ):
             return _input_error("malformed job document")
+        problem = _job_option_error(parser, doc["command"], doc.get("options", {}))
+        if problem is not None:
+            return _input_error(problem)
         job = JobSpec(
             command=doc["command"],
             options=doc.get("options", {}),

@@ -246,12 +246,8 @@ class MultiPoly:
                 continue
             e = list(exp)
             e[i] -= 1
-            te = tuple(e)
-            s = (out.get(te, 0) + c * k) % p
-            if s:
-                out[te] = s
-            else:
-                out.pop(te, None)
+            # distinct exponents stay distinct, and c * k is a unit mod p
+            out[tuple(e)] = c * k % p
         return MultiPoly(self.field, out)
 
     def frobenius_power(self) -> "MultiPoly":
@@ -484,16 +480,20 @@ class RatFunc:
         return ratfunc_normalize(self.den, self.num)
 
     def __pow__(self, n: int) -> "RatFunc":
+        """Square and multiply; no product by one, no square past the top bit."""
         if n < 0:
             return self.inv() ** (-n)
-        out = self.field.one()
+        if n == 0:
+            return self.field.one()
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def scale(self, c: int) -> "RatFunc":
         return ratfunc_normalize(self.num.scale(c), self.den)
@@ -614,12 +614,7 @@ def random_poly(field: FunctionField, rng, max_degree: int, terms: int) -> Multi
     out: dict = {}
     for _ in range(terms):
         exp = tuple(rng.randint(0, max_degree) for _ in range(field.nvars))
-        c = rng.randint(1, field.p - 1)
-        s = (out.get(exp, 0) + c) % field.p
-        if s:
-            out[exp] = s
-        else:
-            out.pop(exp, None)
+        out = poly_add(out, {exp: rng.randint(1, field.p - 1)}, field.p)
     return MultiPoly(field, out)
 
 

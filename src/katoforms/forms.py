@@ -41,6 +41,16 @@ from .fields import (
 )
 
 
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value, with the entry dropped when the sum is zero."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[Optional[tuple[int, ...]], int]:
     """Sorted concatenation and permutation sign; None when indices collide."""
     if set(a) & set(b):
@@ -138,12 +148,7 @@ class DiffForm:
         self._check(other)
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            accumulate(out, idx, c)
         return DiffForm(self.field, self.degree, out)
 
     def __neg__(self) -> "DiffForm":
@@ -189,14 +194,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
             if merged is None:
                 continue
             v = ca * cb
-            if sign < 0:
-                v = -v
-            s = out.get(merged)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = s
+            accumulate(out, merged, v if sign > 0 else -v)
     return DiffForm(field, degree, out)
 
 
@@ -225,6 +223,14 @@ def dlog(a: RatFunc) -> DiffForm:
     if a.is_zero():
         raise ZeroDivisionError("dlog of zero")
     return d(DiffForm.scalar(a.field, a)).scale(a.inv())
+
+
+def dlog_wedge(field: FunctionField, elems: Sequence[RatFunc]) -> DiffForm:
+    """dlog a_1 ^ ... ^ dlog a_n; the scalar 1 for no elements."""
+    out = DiffForm.scalar(field, field.one())
+    for a in elems:
+        out = wedge(out, dlog(a))
+    return out
 
 
 # -- logarithmic view and semilinear maps ------------------------------------
@@ -358,13 +364,7 @@ def integrate(omega: DiffForm) -> DiffForm:
                 continue
             r = idx.index(i0)
             rest = idx[:r] + idx[r + 1 :]
-            v = c.scale(inv if r % 2 == 0 else (-inv) % p)
-            s = eta_log.get(rest)
-            s = v if s is None else s + v
-            if s.is_zero():
-                eta_log.pop(rest, None)
-            else:
-                eta_log[rest] = s
+            accumulate(eta_log, rest, c.scale(inv if r % 2 == 0 else (-inv) % p))
     return from_log(field, n - 1, eta_log)
 
 
@@ -399,12 +399,5 @@ def random_form_rng(
     for _ in range(term_count):
         idx = tuple(sorted(rng.sample(indices, n)))
         c = random_ratfunc(field, rng, max_degree, rng.randint(1, 3), den_pool)
-        if c.is_zero():
-            continue
-        s = coeffs.get(idx)
-        s = c if s is None else s + c
-        if s.is_zero():
-            coeffs.pop(idx, None)
-        else:
-            coeffs[idx] = s
+        accumulate(coeffs, idx, c)
     return DiffForm(field, n, coeffs)

@@ -2,20 +2,23 @@
 
 For a purely inseparable extension built from data (b_1, m_1), ..., (b_r, m_r)
 the kernel of the restriction on classes modulo wp + d is additively spanned
-by two families:
+by the instances of one pattern at the admissible levels (t, k):
 
-* linear:  b_j d(z)                        for z of one degree lower;
-* power:   b_1^k(t,1) ... b_r^k(t,r) (d v)^[p^t]
-           for 1 <= t <= e-1,  0 <= k(t,i) < p^t,
-           max(1, p^(t - m_i + 1)) dividing k(t,i),
+    b_1^k(1) ... b_r^k(r) (d v)^[p^t]
 
-with e = max m_i.  This module enumerates instances of both families over a
-user-supplied list of instantiating forms, constructs the explicit witness
-that every instance restricts to a congruence-trivial form over the
-extension (the implementable inclusion), produces the logarithmic-shaped
-variant of the same system, and rewrites instances under the two rebasing
-moves (permutation, and trading (b, m) against (b^p, m+1)) with certified
-output.
+* level 0 with k = e_j, a unit vector: the linear family b_j d(v);
+* power levels 1 <= t <= e-1, 0 <= k(i) < p^t, max(1, p^(t - m_i + 1))
+  dividing k(i): the power family;
+
+with e = max m_i.  A spec keeps the fields that name its family (``kind``
+with the slot ``j``, or ``t`` and ``k``) and every computation reads the
+level through ``level``, so one formula covers both families.  This module
+enumerates instances over a user-supplied list of instantiating forms,
+constructs the explicit witness that every instance restricts to a
+congruence-trivial form over the extension (the implementable inclusion),
+produces the logarithmic-shaped variant of the same system, and rewrites
+instances under the two rebasing moves (permutation, and trading (b, m)
+against (b^p, m+1)) with certified output.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Optional, Sequence
 from .certificates import (
     Certificate,
     ReductionResult,
+    congruence_witness,
     exponent_reduction,
     monomial,
     monomial_split_parts,
@@ -36,20 +40,53 @@ from .certificates import (
 from .errors import BadExponent, CertificateFailed, UnsupportedExtension
 from .extensions import ExtensionSpec, restrict
 from .fields import FunctionField, RatFunc, pth_root
-from .forms import DiffForm, d, dlog, nu_member, sp_iter, wedge
-from .certificates import congruence_witness
+from .forms import DiffForm, d, dlog_wedge, nu_member, sp_iter, wedge
 from .oracle import SearchBounds, solve_wp_plus_d
 
 KIND_LINEAR = "linear"
 KIND_POWER = "power"
+
+# a pattern (t, k): the power level t and the exponent vector k
+Level = tuple[int, tuple[int, ...]]
 
 
 def pattern_divisor(p: int, t: int, m: int) -> int:
     return max(1, p ** (t - m + 1))
 
 
+def unit_vector(r: int, j: int) -> tuple[int, ...]:
+    """e_j of length r; all zeros when j is not a slot index."""
+    return tuple(int(l == j) for l in range(r))
+
+
+def _with(seq: Sequence, i: int, item) -> tuple:
+    """seq with its entry i replaced by item."""
+    return tuple(item if l == i else x for l, x in enumerate(seq))
+
+
+def pattern_fields(t: int, k: Sequence[int]) -> dict:
+    """The fields naming level (t, k): slot j for level 0 (k = e_j), else t and k."""
+    k = tuple(k)
+    if t == 0:
+        if sorted(k) != [0] * (len(k) - 1) + [1]:
+            raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
+        return {"kind": KIND_LINEAR, "j": k.index(1), "t": None, "k": None}
+    return {"kind": KIND_POWER, "j": None, "t": t, "k": k}
+
+
+class Pattern:
+    """The family fields (kind, j, t, k) of a generator, read as one level."""
+
+    @property
+    def level(self) -> Level:
+        """(t, k) of the pattern; the linear slot j is level (0, e_j)."""
+        if self.kind == KIND_LINEAR:
+            return 0, unit_vector(len(self.pairs), self.j)
+        return self.t, self.k
+
+
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Pattern):
     """One admissible pattern of the generator system.
 
     pairs is the full system data ((b_i, m_i), ...); linear patterns carry
@@ -95,6 +132,13 @@ class GeneratorSpec:
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
+    @staticmethod
+    def at_level(
+        pairs: Sequence[tuple[RatFunc, int]], n: int, t: int, k: Sequence[int]
+    ) -> "GeneratorSpec":
+        """The spec of level (t, k): linear for t = 0, power otherwise."""
+        return GeneratorSpec(pairs=tuple(pairs), n=n, **pattern_fields(t, k))
+
     @property
     def field(self) -> FunctionField:
         return self.pairs[0][0].field
@@ -110,18 +154,33 @@ class GeneratorInstance:
     trivial: bool = False
 
 
+def pattern_value(
+    bs: Sequence[RatFunc], t: int, k: Sequence[int], inst: DiffForm
+) -> DiffForm:
+    """(prod b^k) (d inst)^[p^t]; at level 0 with k = e_j this is b_j d(inst)."""
+    return sp_iter(d(inst), t).scale(monomial(inst.field, bs, k))
+
+
+def _instance(
+    pairs: tuple[tuple[RatFunc, int], ...],
+    n: int,
+    level: Level,
+    inst: DiffForm,
+    value: DiffForm,
+) -> GeneratorInstance:
+    """Instance at the given level; an all-zero exponent vector is trivial."""
+    t, k = level
+    spec = GeneratorSpec.at_level(pairs, n, t, k)
+    return GeneratorInstance(spec, inst, value, trivial=not any(k))
+
+
 def make_instance(spec: GeneratorSpec, inst: DiffForm) -> GeneratorInstance:
-    """Instance value: b_j d(z) for linear, (prod b^k)(d v)^[p^t] for power."""
-    bs = [b for b, _ in spec.pairs]
+    """Instance value (prod b^k)(d v)^[p^t] at the spec's level."""
     if inst.degree != spec.n - 1:
         raise BadExponent(f"instantiating form must have degree {spec.n - 1}")
-    if spec.kind == KIND_LINEAR:
-        value = d(inst).scale(bs[spec.j])
-        trivial = False
-    else:
-        value = sp_iter(d(inst), spec.t).scale(monomial(spec.field, bs, spec.k))
-        trivial = all(k == 0 for k in spec.k)
-    return GeneratorInstance(spec=spec, inst=inst, value=value, trivial=trivial)
+    t, k = spec.level
+    value = pattern_value([b for b, _ in spec.pairs], t, k, inst)
+    return GeneratorInstance(spec=spec, inst=inst, value=value, trivial=not any(k))
 
 
 def power_patterns(
@@ -140,6 +199,12 @@ def power_patterns(
     return out
 
 
+def generator_levels(pairs: Sequence[tuple[RatFunc, int]], p: int) -> list[Level]:
+    """Every pattern of the system as a level: linear slots first, then power."""
+    r = len(pairs)
+    return [(0, unit_vector(r, j)) for j in range(r)] + power_patterns(pairs, p)
+
+
 def kernel_generators(
     field: FunctionField,
     pairs: Sequence[tuple[RatFunc, int]],
@@ -154,15 +219,12 @@ def kernel_generators(
     if n < 1:
         return []
     pairs = tuple(pairs)
-    out = []
-    for inst in insts:
-        for j in range(len(pairs)):
-            spec = GeneratorSpec(KIND_LINEAR, pairs, n, j=j)
-            out.append(make_instance(spec, inst))
-        for t, k in power_patterns(pairs, field.p):
-            spec = GeneratorSpec(KIND_POWER, pairs, n, t=t, k=k)
-            out.append(make_instance(spec, inst))
-    return out
+    levels = generator_levels(pairs, field.p)
+    return [
+        make_instance(GeneratorSpec.at_level(pairs, n, t, k), inst)
+        for inst in insts
+        for t, k in levels
+    ]
 
 
 # -- vanishing over the extension ---------------------------------------------
@@ -193,40 +255,27 @@ def adapted_slots(
 def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
     """Explicit witness that the instance restricts to a trivial class over E.
 
-    For a linear instance b_j d(z) the restriction is a p-th power times an
-    exact form and the witness is purely exact.  For a power instance every
-    exponent p^(m_i) k(t,i) is divisible by p^(t+1), so the restriction is
-    the t-fold semilinear power of a p-th-power multiple of an exact form:
-    the power telescopes into the wp slot and the rest into the exact slot.
+    At level (t, k) every exponent p^(m_i) k(i) is divisible by p^(t+1), so
+    the restriction is the t-fold semilinear power of c^p d(v) for a
+    monomial c: the power telescopes into the wp slot and d(c^p v) is the
+    exact slot.  At level 0 (b_j d(v)) the telescope is empty and the
+    witness is purely exact.
     """
     slots = adapted_slots(g.spec.pairs, ext, "vanishing witnesses")
     target = ext.target
     p = target.p
     value_e = restrict(g.value, ext)
     if value_e.is_zero():
-        cert = Certificate.trivial(target, g.value.degree)
-        return cert
+        return Certificate.trivial(target, g.value.degree)
     inst_e = restrict(g.inst, ext)
-    if g.spec.kind == KIND_LINEAR:
-        image = ext.apply(g.spec.pairs[g.spec.j][0])
-        eta = inst_e.scale(image)
-        cert = Certificate(
-            u=DiffForm.zero(target, g.value.degree), eta=eta, field=target
-        )
-    else:
-        t = g.spec.t
-        root_mono = target.one()
-        for slot, ki, (_, mi) in zip(slots, g.spec.k, g.spec.pairs):
-            c_i = (p**mi * ki) // (p**t)
-            root_mono = root_mono * target.var(slot) ** c_i
-        z = d(inst_e).scale(root_mono)
-        u = DiffForm.zero(target, g.value.degree)
-        cur = z
-        for _ in range(t):
-            u = u + cur
-            cur = sp_iter(cur, 1)
-        eta = inst_e.scale(root_mono)
-        cert = Certificate(u=u, eta=eta, field=target)
+    t, k = g.spec.level
+    root_mono = monomial(
+        target,
+        [target.var(slot) for slot in slots],
+        [(p**mi * ki) // p**t for ki, (_, mi) in zip(k, g.spec.pairs)],
+    )
+    _, telescope = power_certificate(d(inst_e).scale(root_mono), t)
+    cert = Certificate(u=telescope.u, eta=inst_e.scale(root_mono), field=target)
     if not verify_certificate(value_e, DiffForm.zero(target, g.value.degree), cert):
         raise CertificateFailed("vanishing witness failed to verify")
     return cert
@@ -236,12 +285,13 @@ def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
 
 
 @dataclass(frozen=True)
-class LogGenerator:
+class LogGenerator(Pattern):
     """Generator in logarithmic shape: head wedge dlog(a_2) ^ ... ^ dlog(a_n).
 
-    The head is the degree-1 part (b_j s dlog s, or b^k s^(p^t) dlog s) and
-    the tail is logarithmic, so every instance factors through a log-fixed
-    form of degree n-1 — the shape invariant asserted by ``check_shape``.
+    The head is the degree-1 part b^k s^(p^t) dlog s (b_j s dlog s at
+    level 0) and the tail is logarithmic, so every instance factors through
+    a log-fixed form of degree n-1 — the shape invariant asserted by
+    ``check_shape``.
     """
 
     kind: str
@@ -256,10 +306,7 @@ class LogGenerator:
     trivial: bool
 
     def check_shape(self) -> bool:
-        field = self.head.field
-        tail_form = DiffForm.scalar(field, field.one())
-        for a in self.tail:
-            tail_form = wedge(tail_form, dlog(a))
+        tail_form = dlog_wedge(self.head.field, self.tail)
         if self.tail and not nu_member(tail_form):
             return False
         return self.value == wedge(self.head, tail_form)
@@ -274,14 +321,15 @@ def log_kernel_generators(
 ) -> list[LogGenerator]:
     """Logarithmic generator system for degree n >= 1.
 
-    For each s and each tail (a_2, ..., a_n) emits b_j s dlog s ^ dlog a_i
-    and b^k s^(p^t) dlog s ^ dlog a_i; s = 1 gives the zero instance, which
-    is emitted flagged trivial.
+    For each s and each tail (a_2, ..., a_n) emits b^k s^(p^t) dlog s ^ dlog a_i
+    at every level (t, k), which is b_j s dlog s ^ dlog a_i at level 0;
+    s = 1 gives the zero instance, which is emitted flagged trivial.
     """
     if n < 1:
         return []
     pairs = tuple(pairs)
     bs = [b for b, _ in pairs]
+    levels = generator_levels(pairs, field.p)
     out = []
     for s in s_list:
         if s.is_zero():
@@ -291,26 +339,14 @@ def log_kernel_generators(
             tail = tuple(tail)
             if len(tail) != n - 1:
                 raise BadExponent(f"tail must have {n - 1} entries")
-            tail_form = DiffForm.scalar(field, field.one())
-            for a in tail:
-                tail_form = wedge(tail_form, dlog(a))
-            for j in range(len(pairs)):
-                head = ds.scale(bs[j])
+            tail_form = dlog_wedge(field, tail)
+            for t, k in levels:
+                head = ds.scale(monomial(field, bs, k) * s ** (field.p**t - 1))
                 value = wedge(head, tail_form)
                 out.append(
                     LogGenerator(
-                        KIND_LINEAR, pairs, s, tail, j, None, None, head, value,
-                        trivial=value.is_zero(),
-                    )
-                )
-            for t, k in power_patterns(pairs, field.p):
-                scale = monomial(field, bs, k) * s ** (field.p**t - 1)
-                head = ds.scale(scale)
-                value = wedge(head, tail_form)
-                out.append(
-                    LogGenerator(
-                        KIND_POWER, pairs, s, tail, None, t, k, head, value,
-                        trivial=value.is_zero(),
+                        pairs=pairs, s=s, tail=tail, head=head, value=value,
+                        trivial=value.is_zero(), **pattern_fields(t, k),
                     )
                 )
     for g in out:
@@ -344,6 +380,20 @@ def log_vanish_certificate(
 # -- rebasing moves ---------------------------------------------------------------
 
 
+def _linear_instances(
+    pairs: tuple[tuple[RatFunc, int], ...], n: int, parts
+) -> list[GeneratorInstance]:
+    """Level-0 instances b_i d(w) for the parts (i, w) with a nonzero value."""
+    bs = [b for b, _ in pairs]
+    out = []
+    for i, w in parts:
+        level = (0, unit_vector(len(pairs), i))
+        value = pattern_value(bs, *level, w)
+        if not value.is_zero():
+            out.append(_instance(pairs, n, level, w, value))
+    return out
+
+
 def _instances_from_reduction(
     pairs: tuple[tuple[RatFunc, int], ...], n: int, red: ReductionResult
 ) -> list[GeneratorInstance]:
@@ -355,16 +405,8 @@ def _instances_from_reduction(
             continue
         pj = field.p**jlev
         k = tuple(ki % pj for ki in red.ks)
-        spec = GeneratorSpec(KIND_POWER, pairs, n, t=jlev, k=k)
-        out.append(GeneratorInstance(spec, w, red.level_value(jlev),
-                                     trivial=all(x == 0 for x in k)))
-    for i, w in red.linear_parts:
-        value = d(w).scale(red.bs[i])
-        if value.is_zero():
-            continue
-        spec = GeneratorSpec(KIND_LINEAR, pairs, n, j=i)
-        out.append(GeneratorInstance(spec, w, value))
-    return out
+        out.append(_instance(pairs, n, (jlev, k), w, red.level_value(jlev)))
+    return out + _linear_instances(pairs, n, red.linear_parts)
 
 
 def rebase_generator(
@@ -380,54 +422,29 @@ def rebase_generator(
     kind_move = move[0]
     spec = g.spec
     field = spec.field
+    p = field.p
     n = spec.n
+    t, k = spec.level
     zero_cert = Certificate.trivial(field, n)
     if kind_move == "permute":
         sigma = tuple(move[1])
         if sorted(sigma) != list(range(len(spec.pairs))):
             raise BadExponent("not a permutation")
         new_pairs = tuple(spec.pairs[s] for s in sigma)
-        if spec.kind == KIND_LINEAR:
-            new_spec = GeneratorSpec(
-                KIND_LINEAR, new_pairs, n, j=sigma.index(spec.j)
-            )
-        else:
-            new_spec = GeneratorSpec(
-                KIND_POWER, new_pairs, n, t=spec.t,
-                k=tuple(spec.k[s] for s in sigma),
-            )
-        return [GeneratorInstance(new_spec, g.inst, g.value, g.trivial)], zero_cert
+        new_k = tuple(k[s] for s in sigma)
+        return [_instance(new_pairs, n, (t, new_k), g.inst, g.value)], zero_cert
     if kind_move == "promote":
         i = move[1]
         b, m = spec.pairs[i]
-        new_pairs = tuple(
-            (bl ** field.p, ml + 1) if l == i else (bl, ml)
-            for l, (bl, ml) in enumerate(spec.pairs)
-        )
-        if spec.kind == KIND_LINEAR:
-            if spec.j != i:
-                new_spec = GeneratorSpec(KIND_LINEAR, new_pairs, n, j=spec.j)
-                return [GeneratorInstance(new_spec, g.inst, g.value)], zero_cert
-            # b d(z) is congruent to b^p (dz)^[p], one power level up
-            rhs, cert = power_certificate(g.value, 1)
-            k = tuple(1 if l == i else 0 for l in range(len(spec.pairs)))
-            new_spec = GeneratorSpec(KIND_POWER, new_pairs, n, t=1, k=k)
-            return [GeneratorInstance(new_spec, g.inst, rhs)], -cert
-        t, k = spec.t, spec.k
-        if k[i] % field.p == 0:
-            new_k = tuple(ki // field.p if l == i else ki for l, ki in enumerate(k))
-            new_spec = GeneratorSpec(KIND_POWER, new_pairs, n, t=t, k=new_k)
-            return [
-                GeneratorInstance(new_spec, g.inst, g.value,
-                                  trivial=all(x == 0 for x in new_k))
-            ], zero_cert
-        # p does not divide k_i: raise the whole instance one power level
+        new_pairs = _with(spec.pairs, i, (b**p, m + 1))
+        if k[i] % p == 0:
+            new_k = _with(k, i, k[i] // p)
+            return [_instance(new_pairs, n, (t, new_k), g.inst, g.value)], zero_cert
+        # p does not divide k_i (k_i = 1 for b_i d(z)): raise the whole
+        # instance one power level
         rhs, cert = power_certificate(g.value, 1)
-        new_k = tuple(
-            ki if l == i else field.p * ki for l, ki in enumerate(k)
-        )
-        new_spec = GeneratorSpec(KIND_POWER, new_pairs, n, t=t + 1, k=new_k)
-        return [GeneratorInstance(new_spec, g.inst, rhs)], -cert
+        new_k = _with([p * ki for ki in k], i, k[i])
+        return [_instance(new_pairs, n, (t + 1, new_k), g.inst, rhs)], -cert
     if kind_move == "demote":
         i = move[1]
         b, m = spec.pairs[i]
@@ -436,57 +453,32 @@ def rebase_generator(
         c = pth_root(b)
         if c is None:
             raise BadExponent("demotion needs b to be a p-th power")
-        new_pairs = tuple(
-            (c, m - 1) if l == i else pair for l, pair in enumerate(spec.pairs)
-        )
+        new_pairs = _with(spec.pairs, i, (c, m - 1))
         new_e = max(ml for _, ml in new_pairs)
-        if spec.kind == KIND_LINEAR:
-            if spec.j != i:
-                new_spec = GeneratorSpec(KIND_LINEAR, new_pairs, n, j=spec.j)
-                return [GeneratorInstance(new_spec, g.inst, g.value)], zero_cert
-            # b d(z) = c^p d(z) = d(c^p z): trivial class, empty sum
-            eta = g.inst.scale(b)
-            cert = Certificate(u=DiffForm.zero(field, n), eta=eta, field=field)
-            return [], cert
-        t, k = spec.t, spec.k
         bs_new = [bl for bl, _ in new_pairs]
-        k_new = [field.p * ki if l == i else ki for l, ki in enumerate(k)]
+        k_new = list(_with(k, i, p * k[i]))
         total_cert = zero_cert
         # drop power levels no longer admitted by the shrunken exponent
         while t > new_e - 1:
-            if any(ki % field.p for ki in k_new):
+            if any(ki % p for ki in k_new):
                 raise CertificateFailed(
                     "level drop impossible: exponents not divisible by p"
                 )
-            k_new = [ki // field.p for ki in k_new]
-            lower = sp_iter(d(g.inst), t - 1).scale(
-                monomial(field, bs_new, k_new)
-            )
-            _, cert = power_certificate(lower, 1)
+            k_new = [ki // p for ki in k_new]
+            _, cert = power_certificate(pattern_value(bs_new, t - 1, k_new, g.inst), 1)
             total_cert = total_cert + cert
             t -= 1
         if t == 0:
-            # down to a plain monomial times an exact form
+            # a plain monomial times an exact form splits into linear parts
+            # (b_i d(z) = c^p d(z) = d(c^p z) leaves no part at all)
             pos = [l for l, ki in enumerate(k_new) if ki]
-            if not pos:
-                eta_cert = Certificate(
-                    u=DiffForm.zero(field, n), eta=g.inst, field=field
-                )
-                return [], total_cert + eta_cert
             parts, eta = monomial_split_parts(
                 [bs_new[l] for l in pos], [k_new[l] for l in pos], g.inst
             )
             total_cert = total_cert + Certificate(
                 u=DiffForm.zero(field, n), eta=eta, field=field
             )
-            out = []
-            for l, w in zip(pos, parts):
-                value = d(w).scale(bs_new[l])
-                if value.is_zero():
-                    continue
-                spec_l = GeneratorSpec(KIND_LINEAR, new_pairs, n, j=l)
-                out.append(GeneratorInstance(spec_l, w, value))
-            return out, total_cert
+            return _linear_instances(new_pairs, n, zip(pos, parts)), total_cert
         red = exponent_reduction(bs_new, k_new, t, g.inst)
         total_cert = total_cert + red.certificate
         return _instances_from_reduction(new_pairs, n, red), total_cert
@@ -498,27 +490,17 @@ def pattern_lowering_certificate(
 ) -> tuple[GeneratorInstance, Certificate]:
     """For a power pattern with all exponents divisible by p, the instance is
     certifiably equal (as a class) to the level-(t-1) pattern with k/p.
-
-    Exponent vectors that are all zero drop to the exact form d(v) itself,
-    returned as the trivial level with an empty exponent pattern when t = 1.
     """
     spec = g.spec
-    if spec.kind != KIND_POWER:
-        raise BadExponent("only power patterns can be lowered")
+    t, k = spec.level
+    if t < 2:
+        raise BadExponent("only power patterns of level t >= 2 can be lowered")
     p = spec.field.p
-    if any(k % p for k in spec.k):
+    if any(ki % p for ki in k):
         raise BadExponent("lowering needs all exponents divisible by p")
-    if spec.t < 2:
-        raise BadExponent("level must be at least 2 to lower")
-    new_k = tuple(k // p for k in spec.k)
-    bs = [b for b, _ in spec.pairs]
-    lower_value = sp_iter(d(g.inst), spec.t - 1).scale(
-        monomial(spec.field, bs, new_k)
-    )
+    new_k = tuple(ki // p for ki in k)
+    lower_value = pattern_value([b for b, _ in spec.pairs], t - 1, new_k, g.inst)
     raised, cert = power_certificate(lower_value, 1)
     if raised != g.value:
         raise CertificateFailed("lowered pattern does not raise back to the input")
-    new_spec = GeneratorSpec(KIND_POWER, spec.pairs, spec.n, t=spec.t - 1, k=new_k)
-    lower = GeneratorInstance(new_spec, g.inst, lower_value,
-                              trivial=all(x == 0 for x in new_k))
-    return lower, cert
+    return _instance(spec.pairs, spec.n, (t - 1, new_k), g.inst, lower_value), cert

@@ -10,8 +10,8 @@ vector in dimension two.
 The restriction-kernel generators mirror the differential-form ones: for
 extension data (b_1, m_1), ..., (b_r, m_r) the kernel of the quadratic Witt
 group restriction is generated (as a module over the bilinear Witt ring) by
-the two-fold Pfister forms << s, s b_j ]] and << s, s^(2^t) b^k(t) ]], with
-the same (t, k) pattern constraints as the form-class generators, and the
+the two-fold Pfister forms << s, s^(2^t) b^k ]] at the same levels (t, k) as
+the form-class generators (<< s, s b_j ]] at level 0, k = e_j), and the
 bilinear kernel by the diagonal forms <1, x> for x a square in the extended
 field, detected by Frobenius support.
 
@@ -33,8 +33,8 @@ from .errors import (
 )
 from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
-from .forms import DiffForm, dlog, wedge
-from .generators import adapted_slots, power_patterns
+from .forms import DiffForm, dlog_wedge
+from .generators import Pattern, adapted_slots, generator_levels, pattern_fields
 # the witt-layer name of the bounded Artin-Schreier search
 from .oracle import artin_schreier_search as artin_schreier_solve
 
@@ -401,7 +401,7 @@ def hyperbolic_lagrangian(q: QuadForm) -> LagrangianCert:
 
 
 @dataclass(frozen=True)
-class WittGenerator:
+class WittGenerator(Pattern):
     """One quadratic kernel generator << s, tail ]] with its pattern data."""
 
     kind: str
@@ -421,24 +421,23 @@ class WittGenerator:
 def quad_kernel_generators(
     pairs: Sequence[tuple[RatFunc, int]], s_list: Sequence[RatFunc]
 ) -> list[WittGenerator]:
-    """Generators << s, s b_j ]] and << s, s^(2^t) b^k(t) ]] for all patterns."""
+    """Generators << s, s^(2^t) b^k ]] at every level; << s, s b_j ]] at level 0."""
     pairs = tuple(pairs)
     field = pairs[0][0].field
     if field.p != 2:
         raise ValueError("quadratic Witt kernel generators live in characteristic 2")
     bs = [b for b, _ in pairs]
+    levels = generator_levels(pairs, 2)
     out = []
     for s in s_list:
         if s.is_zero():
             raise ValueError("s must be nonzero")
-        for j in range(len(pairs)):
-            tail = s * bs[j]
-            form = pfister_quad(PfisterSymbol((s,), tail))
-            out.append(WittGenerator("linear", pairs, s, j, None, None, tail, form))
-        for t, k in power_patterns(pairs, 2):
+        for t, k in levels:
             tail = s ** (2**t) * monomial(field, bs, k)
             form = pfister_quad(PfisterSymbol((s,), tail))
-            out.append(WittGenerator("power", pairs, s, None, t, k, tail, form))
+            out.append(WittGenerator(
+                pairs=pairs, s=s, tail=tail, form=form, **pattern_fields(t, k)
+            ))
     return out
 
 
@@ -493,16 +492,12 @@ def hyperbolicity_certificate(
     zero = target.zero()
     q_e = restrict_quad(g.form, ext)
     s_e = ext.apply(g.s)
-    t = 0 if g.kind == "linear" else g.t
-    k = (
-        tuple(1 if l == g.j else 0 for l in range(len(g.pairs)))
-        if g.kind == "linear"
-        else g.k
+    t, k = g.level
+    g0 = monomial(
+        target,
+        [target.var(slot) for slot in slots],
+        [(2**mi * ki) // 2 ** (t + 1) for ki, (_, mi) in zip(k, g.pairs)],
     )
-    g0 = one
-    for slot, ki, (_, mi) in zip(slots, k, g.pairs):
-        eps = (2**mi * ki) // (2 ** (t + 1))
-        g0 = g0 * target.var(slot) ** eps
     w = s_e * g0 * g0
     # sanity: the restricted tail really is w^(2^t)
     tail_e = ext.apply(g.tail)
@@ -609,11 +604,7 @@ def kato_e(sym: PfisterSymbol) -> DiffForm:
         raise ValueError("kato_e takes a symbol without tail")
     if not sym.slots:
         raise ValueError("empty symbol")
-    field = sym.slots[0].field
-    out = DiffForm.scalar(field, field.one())
-    for a in sym.slots:
-        out = wedge(out, dlog(a))
-    return out
+    return dlog_wedge(sym.slots[0].field, sym.slots)
 
 
 def kato_f(sym: PfisterSymbol) -> DiffForm:
@@ -624,8 +615,4 @@ def kato_f(sym: PfisterSymbol) -> DiffForm:
     """
     if sym.tail is None:
         raise ValueError("kato_f takes a symbol with tail")
-    field = sym.tail.field
-    out = DiffForm.scalar(field, sym.tail)
-    for a in sym.slots:
-        out = wedge(out, dlog(a))
-    return out
+    return dlog_wedge(sym.tail.field, sym.slots).scale(sym.tail)

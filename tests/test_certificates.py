@@ -199,6 +199,20 @@ def test_congruence_witness_nonmembers(f2x, f2xy):
     assert congruence_witness(dlog(f2xy.var(0)).scale(f2xy.var(1))) is None
 
 
+def test_congruence_witness_stops_on_a_repeated_form(f2x, monkeypatch):
+    # wp(dlog x) = 0, so the running form comes back unchanged after one
+    # step; the search stops there instead of running to its iteration limit
+    import katoforms.certificates as certificates
+
+    calls = []
+    real = certificates.cartier_raw
+    monkeypatch.setattr(
+        certificates, "cartier_raw", lambda w: calls.append(w) or real(w)
+    )
+    assert congruence_witness(dlog(f2x.var(0))) is None
+    assert len(calls) == 1
+
+
 def test_witnesses_with_rational_coefficients(rng):
     # denominators with several variables exercise the Frobenius clearing;
     # the Cartier iteration is incomplete here, so the bounded search backs

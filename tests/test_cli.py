@@ -146,6 +146,16 @@ def test_witt_commands(ext_file):
     assert code == 0
 
 
+def test_check_hyperbolic_selects_by_level(ext_file):
+    # the linear slot j is level (0, e_j): --t 0 --k e_j names the same generator
+    _, by_slot = _run("check-hyperbolic", ext=ext_file, s="y", j=1)
+    code, by_level = _run("check-hyperbolic", ext=ext_file, s="y", t=0, k="0,1")
+    assert code == 0
+    assert by_level["result"] == by_slot["result"]
+    code, report = _run("check-hyperbolic", ext=ext_file, s="y", t=0, k="1,1")
+    assert code == 3 and "no generator matches" in report["error"]
+
+
 def test_arf_command():
     form = (
         "(quad 2 ((0 0) (rat (poly 2 (term 1 (0))) (poly 2 (term 1 (0)))))"
@@ -244,14 +254,46 @@ def test_validate_ext_roundtrip(ext_file):
     assert report["result"]["normalized"]["format"] == "katoforms-ext-1"
 
 
-def test_malformed_job_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "{not json",
+        {"options": {}},
+        {"command": "selftest", "options": {"sections": "fields"}, "seed": True},
+        {"command": "classify", "options": {"form": "x dx", "field": "F2(x)", "deg": None}},
+        {"command": "classify", "options": {"form": 5, "field": "F2(x)"}},
+        {"command": "vanish-cert",
+         "options": {"ext": "{ext}", "n": 1, "inst": "y", "t": 1, "k": None}},
+        {"command": "vanish-cert",
+         "options": {"ext": "{ext}", "n": 1, "inst": "y", "kind": "bogus", "t": 1,
+                     "k": "1,0"}},
+        {"command": "selftest", "options": {"sections": 5}},
+        {"command": "restrict", "options": {"form": "dx", "ext": "{dir}"}},
+    ],
+    ids=["not-json", "no-command", "seed-bool", "deg-null", "form-int", "k-null", "kind-unknown",
+         "sections-int", "ext-directory"],
+)
+def test_malformed_job_file(tmp_path, capsys, ext_file, doc):
+    # option values of the wrong type and unreadable paths are input errors
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    text = text.replace("{ext}", ext_file).replace("{dir}", tmp_path.as_posix())
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     assert main(["--job", str(bad)]) == 3
-    capsys.readouterr()
-    bad.write_text(json.dumps({"options": {}}))  # missing command
-    assert main(["--job", str(bad)]) == 3
-    capsys.readouterr()
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_job_file_echoes_inputs(tmp_path, capsys):
+    options = {"form": "x dx", "field": "F2(x)", "deg": 3, "dens": "1,x"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "classify", "options": options}))
+    assert main(["--job", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == options
+    path.write_text(json.dumps(
+        {"command": "cartier", "options": {"form": "x dx", "field": "F2(x)", "raw": True}}
+    ))
+    assert main(["--job", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["raw"] is True
 
 
 @pytest.mark.parametrize("value, code", [("424242", 0), ("abc", 3)])

@@ -1,5 +1,8 @@
 """Kernel generator systems: enumeration, vanishing witnesses, rebasing."""
 
+import hashlib
+import random
+
 import pytest
 
 from katoforms import (
@@ -28,6 +31,8 @@ from katoforms import (
 )
 from katoforms.generators import KIND_LINEAR, KIND_POWER, pattern_divisor
 from katoforms.forms import random_form_rng
+from katoforms.sexpr import print_certificate, print_form, print_quadform, print_ratfunc
+from katoforms.witt import hyperbolicity_certificate, quad_kernel_generators
 
 
 def test_pattern_enumeration_examples(f2xy, f3xy):
@@ -210,6 +215,23 @@ def test_rebase_demote_linear_is_exact(f2xyz):
     assert verify_certificate(g.value, DiffForm.zero(f2xyz, 1), cert)
 
 
+def test_rebase_drops_zero_linear_parts(f2xyz):
+    # demoting another slot keeps b_j d(z) as it is, except that a zero value
+    # leaves no generator, as for every other part of a rebased sum
+    x, y, z = (f2xyz.var(i) for i in range(3))
+    pairs = ((x * x, 2), (y, 1))
+    spec = GeneratorSpec(KIND_LINEAR, pairs, 1, j=1)
+    g = make_instance(spec, DiffForm.scalar(f2xyz, z))
+    out, cert = rebase_generator(g, ("demote", 0))
+    assert [(o.spec.j, o.value) for o in out] == [(1, g.value)]
+    assert out[0].spec.pairs == ((x, 1), (y, 1))
+    assert cert.u.is_zero() and cert.eta.is_zero()
+    g0 = make_instance(spec, DiffForm.scalar(f2xyz, z * z))
+    assert g0.value.is_zero()
+    out, cert = rebase_generator(g0, ("demote", 0))
+    assert out == [] and cert.u.is_zero() and cert.eta.is_zero()
+
+
 def test_rebase_promote_power_divisible(f2xyz):
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
@@ -302,3 +324,74 @@ def test_power_value_matches_iterated_sp(f2xy):
     v = DiffForm.scalar(f2xy, y)
     g = make_instance(GeneratorSpec(KIND_POWER, ((x, 3),), 1, t=2, k=(3,)), v)
     assert g.value == sp_iter(d(v), 2).scale(x ** 3)
+
+
+def _pinned_generator_lines():
+    """Printed outputs of every generator computation over a seeded list."""
+    rng = random.Random(20240)
+    lines = []
+
+    def spec_doc(spec):
+        return f"{spec.kind} n={spec.n} j={spec.j} t={spec.t} k={spec.k}"
+
+    def instance_doc(g):
+        return f"{spec_doc(g.spec)} trivial={g.trivial} {print_form(g.value)}"
+
+    # kernel generators and their vanishing witnesses, p = 2 and p = 3
+    for p, data in [(2, ((0, 2), (1, 1))), (2, ((0, 3),)), (3, ((0, 2), (1, 1)))]:
+        fld = FunctionField.make(p, ["x", "y", "z"])
+        pairs = tuple((fld.var(i), m) for i, m in data)
+        ext = build_adapted(fld, AdaptedData(data))
+        for n in (1, 2):
+            insts = [random_form_rng(fld, n - 1, 2, 2, rng) for _ in range(2)]
+            for g in kernel_generators(fld, pairs, n, insts):
+                lines.append(instance_doc(g))
+                lines.append(print_certificate(vanish_certificate(g, ext)))
+    # logarithmic generators
+    for p in (2, 3):
+        fld = FunctionField.make(p, ["x", "y"])
+        x, y = fld.var(0), fld.var(1)
+        for n, tails in ((1, [[]]), (2, [[x * y], [x + y]])):
+            for g in log_kernel_generators(fld, ((x, 2), (y, 1)), n, [y, x + y, fld.one()], tails):
+                lines.append(f"{g.kind} j={g.j} t={g.t} k={g.k} trivial={g.trivial}")
+                lines.append(print_form(g.head) + " " + print_form(g.value))
+    # quadratic kernel generators and their hyperbolicity chains
+    fld = FunctionField.make(2, ["x", "y", "z"])
+    x, y, z = (fld.var(i) for i in range(3))
+    for data in (((0, 2), (1, 1)), ((0, 3),)):
+        pairs = tuple((fld.var(i), m) for i, m in data)
+        ext = build_adapted(fld, AdaptedData(data))
+        for g in quad_kernel_generators(pairs, [z, x + z, fld.one()]):
+            lines.append(f"{g.kind} j={g.j} t={g.t} k={g.k} {print_ratfunc(g.tail)}")
+            lines.append(print_quadform(g.form))
+            chain = hyperbolicity_certificate(g, ext)
+            for lhs, rhs, cert in chain.steps:
+                lines.append(print_quadform(lhs) + " " + print_quadform(rhs))
+                lines.append(" ".join(print_ratfunc(e) for row in cert.matrix for e in row))
+            lines.append(print_quadform(chain.final_form))
+    # rebasing moves on linear and power instances
+    f3 = FunctionField.make(3, ["x", "y", "z"])
+    for pairs in (((x * x, 2), (y, 2)), ((f3.var(0) ** 3, 2), (f3.var(1), 1))):
+        fld = pairs[0][0].field
+        specs = [GeneratorSpec(KIND_LINEAR, pairs, 1, j=j) for j in range(len(pairs))]
+        specs += [GeneratorSpec(KIND_POWER, pairs, 1, t=t, k=k)
+                  for t, k in power_patterns(pairs, fld.p)]
+        for spec in specs:
+            g = make_instance(spec, random_form_rng(fld, 0, 2, 2, rng))
+            for move in (("permute", (1, 0)), ("promote", 0), ("promote", 1), ("demote", 0)):
+                out, cert = rebase_generator(g, move)
+                lines.append(f"{move} -> {len(out)}")
+                lines.extend(instance_doc(o) for o in out)
+                lines.append(print_certificate(cert))
+    return lines
+
+
+def test_pinned_generator_outputs():
+    # every generator computation is a function of its inputs alone: any
+    # change to a value, a witness, a chain or a rebasing move shows up here
+    h = hashlib.sha256()
+    for line in _pinned_generator_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == (
+        "421817eed10839a75e9f4ddb289341f180d32ad76f35210d9eba7d72316bc7e4"
+    )
