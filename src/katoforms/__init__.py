@@ -86,7 +86,6 @@ from .generators import (
 from .oracle import (
     SearchBounds,
     exhaustive_exactness,
-    solve_linear_fp,
     solve_wp_plus_d,
 )
 from .witt import (
@@ -100,7 +99,6 @@ from .witt import (
     Singular,
     WittGenerator,
     arf,
-    artin_schreier_solve,
     bilinear_kernel_generators,
     hyperbolic_lagrangian,
     hyperbolicity_certificate,

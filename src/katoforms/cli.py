@@ -777,7 +777,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         options = {
             k: v
             for k, v in vars(ns).items()
-            if k not in ("command", "out", "job") and v not in (None, False)
+            # unset options are None and unset flags False; an integer 0 is a value
+            if k not in ("command", "out", "job") and v is not None and v is not False
         }
         job = JobSpec(command=ns.command, options=options, seed=seed)
     else:

@@ -307,9 +307,16 @@ class LogGenerator(Pattern):
 
     def check_shape(self) -> bool:
         tail_form = dlog_wedge(self.head.field, self.tail)
-        if self.tail and not nu_member(tail_form):
-            return False
+        return _is_log_tail(self.tail, tail_form) and self.factors_through(tail_form)
+
+    def factors_through(self, tail_form: DiffForm) -> bool:
+        """The value is head ^ tail_form."""
         return self.value == wedge(self.head, tail_form)
+
+
+def _is_log_tail(tail: tuple[RatFunc, ...], tail_form: DiffForm) -> bool:
+    """dlog a_2 ^ ... ^ dlog a_n is log-fixed (nu_member); the empty tail is 1."""
+    return not tail or nu_member(tail_form)
 
 
 def log_kernel_generators(
@@ -331,6 +338,7 @@ def log_kernel_generators(
     bs = [b for b, _ in pairs]
     levels = generator_levels(pairs, field.p)
     out = []
+    tail_forms: dict = {}
     for s in s_list:
         if s.is_zero():
             raise BadExponent("s must be nonzero")
@@ -339,7 +347,9 @@ def log_kernel_generators(
             tail = tuple(tail)
             if len(tail) != n - 1:
                 raise BadExponent(f"tail must have {n - 1} entries")
-            tail_form = dlog_wedge(field, tail)
+            tail_form = tail_forms.get(tail)
+            if tail_form is None:
+                tail_form = tail_forms[tail] = dlog_wedge(field, tail)
             for t, k in levels:
                 head = ds.scale(monomial(field, bs, k) * s ** (field.p**t - 1))
                 value = wedge(head, tail_form)
@@ -349,8 +359,13 @@ def log_kernel_generators(
                         trivial=value.is_zero(), **pattern_fields(t, k),
                     )
                 )
+    # check_shape of every generator, its tail half once per distinct tail
+    log_tails: dict = {}
     for g in out:
-        if not g.check_shape():
+        tail_form = tail_forms[g.tail]
+        if g.tail not in log_tails:
+            log_tails[g.tail] = _is_log_tail(g.tail, tail_form)
+        if not (log_tails[g.tail] and g.factors_through(tail_form)):
             raise CertificateFailed("log generator lost its factored shape")
     return out
 

@@ -1,12 +1,11 @@
 """The hot kernels: sparse F_p polynomial arithmetic and Gaussian elimination.
 
 Polynomial terms are plain dicts mapping exponent tuples to coefficients
-in ``1..p-1``.  Zero coefficients are never stored.
+in ``1..p-1``.  Zero coefficients are never stored.  A linear system is
+sparse too: each row a dict mapping column indices to coefficients.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 # Named in every selftest report and in the benchmark's result files.
 IMPL_NAME = "python (fallback)"
@@ -46,11 +45,13 @@ def poly_mul(a: dict, b: dict, p: int) -> dict:
     return out
 
 
-def gauss_solve(rows: list, rhs: list, p: int) -> list | None:
+def gauss_solve(rows: list, rhs: list, p: int, ncols: int) -> list | None:
     """One solution of ``rows * x = rhs`` over F_p, or None if infeasible.
 
-    Free variables are set to zero, so underdetermined systems still
-    return a witness.  Inputs are not modified.
+    ``rows[i]`` is the sparse row ``{column: coeff}`` with columns in
+    ``range(ncols)``; coefficients and ``rhs`` are read mod p.  Free
+    variables are set to zero, so underdetermined systems still return a
+    witness of length ``ncols``.  Inputs are not modified.
 
     Elimination runs over the nonzero entries only.  Columns are taken
     from left to right; the pivot of a column is the lightest row not yet
@@ -60,21 +61,16 @@ def gauss_solve(rows: list, rhs: list, p: int) -> list | None:
     gives the unique solution supported on them, whatever rows were chosen.
     """
     n = len(rows)
-    if n == 0:
-        return []
-    m = len(rows[0])
-    # compress skips the zero cells at C speed; rows of the oracle are mostly zeros
-    cols = range(m)
-    a = [{j: v for j in compress(cols, row) if (v := row[j] % p)} for row in rows]
+    a = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
     b = [v % p for v in rhs]
     # holders[j]: the rows not yet used as pivots with a nonzero entry in column j
-    holders: list[set] = [set() for _ in range(m)]
+    holders: list[set] = [set() for _ in range(ncols)]
     for i, row in enumerate(a):
         for j in row:
             holders[j].add(i)
 
     pivots = []
-    for col in range(m):
+    for col in range(ncols):
         if not holders[col]:
             continue
         r = min(holders[col], key=lambda i: (len(a[i]), i))
@@ -105,7 +101,7 @@ def gauss_solve(rows: list, rhs: list, p: int) -> list | None:
     pivot_rows = {r for _, r in pivots}
     if any(b[i] for i in range(n) if i not in pivot_rows):
         return None
-    x = [0] * m
+    x = [0] * ncols
     for col, r in reversed(pivots):
         x[col] = (b[r] - sum(v * x[j] for j, v in a[r].items() if j != col)) % p
     return x

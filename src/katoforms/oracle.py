@@ -19,10 +19,13 @@ is a/b with a a single term, so its images have closed forms over D:
     d(a/b dx_J)  = sum_i sign * (d_i a * b - a * d_i b) * D/b^2   at i + J,
 
 and every column is a shifted, scaled copy of a few cofactors computed once
-per distinct b; no gcd is taken per column.  ``gauss_solve`` eliminates the
-columns from left to right, so the pivot columns are the leftmost
-independent ones and the solution (free variables zero) does not depend on
-D, on the row order or on the pivot rows chosen.
+per distinct b; no gcd is taken per column.  A row, dx_I times a monomial,
+is one int (``Packing``), so a shift is one integer add, and the columns go
+straight into the sparse rows that ``gauss_solve`` takes; no dense matrix is
+built.  ``gauss_solve`` eliminates the columns from left to right, so the
+pivot columns are the leftmost independent ones and the solution (free
+variables zero) does not depend on D, on the row order, on the packing or
+on the pivot rows chosen.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -44,11 +47,8 @@ from .fields import (
     poly_exact_div,
     poly_gcd,
 )
-from .forms import DiffForm, _merge_sign
+from .forms import DiffForm
 from .kernels import gauss_solve
-
-# The shared exact linear solver, exported under its oracle name.
-solve_linear_fp = gauss_solve
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,9 @@ class SearchBounds:
 
         gcd(x^e, den) = x^min(e, ord(den)), where ord(den) is the largest
         monomial dividing den, so each fraction is reduced without a gcd.
+        A fraction is told apart by (numerator exponent, numerator
+        coefficient, reduced denominator); each reduced denominator caches
+        its hash, so no fraction is hashed whole.
         """
         dens = list(self.denominators) or [field.const_poly(1)]
         exps = [next(iter(mono.terms)) for mono in all_monomials(field, self.max_degree)]
@@ -87,16 +90,18 @@ class SearchBounds:
             reduced: dict = {}
             for e in exps:
                 g = tuple(map(min, e, order))
-                if g not in reduced:
-                    reduced[g] = MultiPoly(
+                rden = reduced.get(g)
+                if rden is None:
+                    rden = reduced[g] = MultiPoly(
                         field,
                         {_minus(exp, g): (c * inv) % p for exp, c in den.terms.items()},
                     )
-                f = RatFunc(field, MultiPoly(field, {_minus(e, g): inv}), reduced[g])
-                if f in seen:
+                num = _minus(e, g)
+                key = (num, inv, rden)
+                if key in seen:
                     continue
-                seen.add(f)
-                out.append(f)
+                seen.add(key)
+                out.append(RatFunc(field, MultiPoly(field, {num: inv}), rden))
         return out
 
 
@@ -119,26 +124,87 @@ def _common_denominator(dens: list[MultiPoly], omega: DiffForm) -> MultiPoly:
     return common
 
 
+class Packing:
+    """The rows of the system as single ints (Monagan–Pearce 2011).
+
+    The row of ``dx_I`` times ``x^e`` is the number with base-``radix``
+    digits ``mask(I), e_1, ..., e_m``, where ``mask(I) = sum 2^i`` over
+    ``i`` in ``I`` is the top digit.  Keys add like the vectors they pack
+    while no digit reaches the radix, so a shift by a monomial is one
+    integer add.
+    """
+
+    __slots__ = ("nvars", "radix", "units", "top")
+
+    def __init__(self, nvars: int, radix: int):
+        self.nvars = nvars
+        self.radix = radix
+        self.units = [radix ** (nvars - 1 - i) for i in range(nvars)]
+        self.top = radix ** nvars
+
+    @classmethod
+    def for_system(
+        cls, common: MultiPoly, candidates: list[RatFunc], targets: list[dict]
+    ) -> "Packing":
+        """The radix for the columns over ``common`` and the target terms.
+
+        Every cofactor (D/b^p, D/b, d_i(b) D/b^2) has degree at most
+        deg_i(D) in each x_i, and a column shifts it by at most p*k + p - 1
+        for its numerator x^k, so the largest digit a row key can reach is
+        the larger of that and the largest target exponent.
+        """
+        p = common.field.p
+        top_common = max(max(exp) for exp in common.terms)
+        top_num = max((max(next(iter(f.num.terms))) for f in candidates), default=0)
+        top_target = max((max(exp) for terms in targets for exp in terms), default=0)
+        radix = 1 + max(top_common + p * top_num + p - 1, top_target)
+        return cls(common.field.nvars, radix)
+
+    def exp(self, exp: tuple[int, ...]) -> int:
+        key = 0
+        for e in exp:
+            key = key * self.radix + e
+        return key
+
+    def slot(self, idx: tuple[int, ...]) -> int:
+        mask = 0
+        for i in idx:
+            mask |= 1 << i
+        return mask * self.top
+
+    def terms(self, terms: dict) -> dict:
+        return {self.exp(exp): c for exp, c in terms.items()}
+
+    def unpack(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(idx, exponent vector) of a packed key."""
+        mask, rest = divmod(key, self.top)
+        exp = []
+        for u in self.units:
+            e, rest = divmod(rest, u)
+            exp.append(e)
+        return tuple(i for i in range(self.nvars) if mask >> i & 1), tuple(exp)
+
+
 class Cofactors:
-    """D/b^p, D/b and d_i(b) * D/b^2 for one candidate denominator b."""
+    """D/b^p, D/b and d_i(b) * D/b^2 for one candidate denominator b, packed."""
 
     __slots__ = ("over_bp", "over_b", "d_over_b2")
 
-    def __init__(self, common: MultiPoly, b: MultiPoly):
+    def __init__(self, common: MultiPoly, b: MultiPoly, packing: Packing):
         p = b.field.p
         over_bp = poly_exact_div(common, b ** p)
         over_b2 = over_bp * b ** (p - 2)
-        self.over_bp = over_bp.terms
-        self.over_b = (over_b2 * b).terms
-        self.d_over_b2 = [(b.partial(i) * over_b2).terms for i in range(b.field.nvars)]
+        self.over_bp = packing.terms(over_bp.terms)
+        self.over_b = packing.terms((over_b2 * b).terms)
+        self.d_over_b2 = [
+            packing.terms((b.partial(i) * over_b2).terms) for i in range(b.field.nvars)
+        ]
 
 
-def _add_shifted(
-    col: dict, idx: tuple, terms: dict, shift: tuple[int, ...], c: int, p: int
-) -> None:
-    """col[(idx, exp + shift)] += c * terms[exp] over F_p, dropping zeros."""
-    for exp, v in terms.items():
-        key = (idx, tuple(e + s for e, s in zip(exp, shift)))
+def _add_shifted(col: dict, terms: dict, shift: int, c: int, p: int) -> None:
+    """col[key + shift] += c * terms[key] over F_p, dropping zeros."""
+    for key, v in terms.items():
+        key += shift
         s = (col.get(key, 0) + c * v) % p
         if s:
             col[key] = s
@@ -146,32 +212,36 @@ def _add_shifted(
             col.pop(key, None)
 
 
-def wp_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors) -> dict:
-    """wp(fn dx_idx) times D as {(idx, exp): coeff}; fn = c x^k / b."""
+def wp_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packing) -> dict:
+    """wp(fn dx_idx) times D as {packed key: coeff}; fn = c x^k / b."""
     p = fn.field.p
     ((k, c),) = fn.num.terms.items()
-    shift = [p * e for e in k]
-    for i in idx:
-        shift[i] += p - 1
-    col: dict = {}
-    _add_shifted(col, idx, cof.over_bp, tuple(shift), c, p)
-    _add_shifted(col, idx, cof.over_b, k, -c, p)
+    packed = packing.exp(k)
+    at = packing.slot(idx) + packed
+    shift = at + (p - 1) * (packed + sum(packing.units[i] for i in idx))
+    # distinct keys stay distinct under one shift: the first copy needs no merging
+    col = {key + shift: (c * v) % p for key, v in cof.over_bp.items()}
+    _add_shifted(col, cof.over_b, at, -c, p)
     return col
 
 
-def d_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors) -> dict:
-    """d(fn dx_idx) times D as {(merged idx, exp): coeff}; fn = c x^k / b."""
+def d_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packing) -> dict:
+    """d(fn dx_idx) times D as {packed key: coeff}; fn = c x^k / b."""
     p = fn.field.p
     ((k, c),) = fn.num.terms.items()
+    at = packing.slot(idx) + packing.exp(k)
     col: dict = {}
+    below = 0
     for i in range(fn.field.nvars):
-        merged, sign = _merge_sign((i,), idx)
-        if merged is None:
+        if i in idx:
+            below += 1
             continue
+        # dx_i ^ dx_idx = (-1)^below dx_(idx + i), below = #{j in idx : j < i}
+        sc = -c if below % 2 else c
+        merged = at + (1 << i) * packing.top
         if k[i] % p:
-            shift = tuple(e - (j == i) for j, e in enumerate(k))
-            _add_shifted(col, merged, cof.over_b, shift, sign * c * k[i], p)
-        _add_shifted(col, merged, cof.d_over_b2[i], k, -sign * c, p)
+            _add_shifted(col, cof.over_b, merged - packing.units[i], sc * k[i], p)
+        _add_shifted(col, cof.d_over_b2[i], merged, -sc, p)
     return col
 
 
@@ -188,37 +258,41 @@ def _solve_columns(
     candidates = bounds.candidate_functions(field)
     dens = list(dict.fromkeys(f.den for f in candidates))
     common = _common_denominator(dens, omega)
-    cofactors = {b: Cofactors(common, b) for b in dens}
+    targets = {
+        idx: (c.num * poly_exact_div(common, c.den)).terms for idx, c in omega.coeffs.items()
+    }
+    packing = Packing.for_system(common, candidates, list(targets.values()))
+    cofactors = {b: Cofactors(common, b, packing) for b in dens}
     columns: list[tuple[int, tuple, RatFunc]] = []
-    vecs: list[dict] = []
+    rows: dict = {}
     kinds = ([(0, n, wp_column)] if with_wp else []) + [(1, n - 1, d_column)]
     for kind, degree, image in kinds:
         if degree < 0:
             continue
         for idx in itertools.combinations(range(field.nvars), degree):
             for fn in candidates:
-                vec = image(idx, fn, cofactors[fn.den])
-                if vec:
-                    columns.append((kind, idx, fn))
-                    vecs.append(vec)
+                vec = image(idx, fn, cofactors[fn.den], packing)
+                if not vec:
+                    continue
+                # transposed on the fly: rows[key] is the sparse row {column: coeff}
+                j = len(columns)
+                columns.append((kind, idx, fn))
+                for key, v in vec.items():
+                    row = rows.get(key)
+                    if row is None:
+                        rows[key] = {j: v}
+                    else:
+                        row[j] = v
     target = {}
-    for idx, c in omega.coeffs.items():
-        for exp, v in (c.num * poly_exact_div(common, c.den)).terms.items():
-            target[(idx, exp)] = v
-    row_of: dict = {}
-    for vec in vecs + [target]:
-        for key in vec:
-            row_of.setdefault(key, len(row_of))
-    if not row_of:
-        return columns, [0] * len(columns)
-    rows = [[0] * len(vecs) for _ in range(len(row_of))]
-    for j, vec in enumerate(vecs):
-        for key, v in vec.items():
-            rows[row_of[key]][j] = v
-    rhs = [0] * len(row_of)
-    for key, v in target.items():
-        rhs[row_of[key]] = v
-    return columns, gauss_solve(rows, rhs, field.p)
+    for idx, terms in targets.items():
+        at = packing.slot(idx)
+        for exp, v in terms.items():
+            target[at + packing.exp(exp)] = v
+    # a target key that no column reaches is an empty row: infeasible
+    for key in target:
+        rows.setdefault(key, {})
+    rhs = [target.get(key, 0) for key in rows]
+    return columns, gauss_solve(list(rows.values()), rhs, field.p, len(columns))
 
 
 def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certificate]:
@@ -263,8 +337,7 @@ def exhaustive_exactness(omega: DiffForm, bounds: SearchBounds) -> bool:
 def artin_schreier_search(c: RatFunc, bounds: SearchBounds) -> Optional[RatFunc]:
     """Bounded search for u with u^p - u = c; absence is bound-relative.
 
-    This is the degree-0 specialization of the solver; ``witt`` exports it
-    as ``artin_schreier_solve``.
+    This is the degree-0 specialization of the solver.
     """
     field = c.field
     cert = solve_wp_plus_d(DiffForm.scalar(field, c), bounds)

@@ -35,8 +35,6 @@ from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, dlog_wedge
 from .generators import Pattern, adapted_slots, generator_levels, pattern_fields
-# the witt-layer name of the bounded Artin-Schreier search
-from .oracle import artin_schreier_search as artin_schreier_solve
 
 Matrix = list  # list of list of RatFunc
 

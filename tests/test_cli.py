@@ -296,6 +296,28 @@ def test_job_file_echoes_inputs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["inputs"]["raw"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["oracle-solve", "--form", "x dx", "--field", "F2(x)", "--deg", "0", "--dens", "1"],
+         "deg"),
+        (["check-hyperbolic", "--ext", "{ext}", "--s", "y", "--j", "0"], "j"),
+        (["check-hyperbolic", "--ext", "{ext}", "--s", "y", "--t", "0", "--k", "0,1"], "t"),
+    ],
+    ids=["deg-0", "j-0", "t-0"],
+)
+def test_zero_valued_options_are_kept(capsys, ext_file, argv, key):
+    # an integer option equal to 0 is a given value, not an unset option
+    code = main([ext_file if arg == "{ext}" else arg for arg in argv])
+    report = json.loads(capsys.readouterr().out)
+    assert "error" not in report
+    assert report["inputs"][key] == 0
+    if argv[0] == "oracle-solve":
+        assert code == 2 and report["result"]["bounds"]["max_degree"] == 0
+    else:
+        assert code == 0 and report["result"]["verified"] is True
+
+
 @pytest.mark.parametrize("value, code", [("424242", 0), ("abc", 3)])
 def test_seed_env_override(monkeypatch, capsys, value, code):
     monkeypatch.setenv("KATOFORMS_SEED", value)

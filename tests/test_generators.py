@@ -29,6 +29,7 @@ from katoforms import (
     verify_certificate,
     wedge,
 )
+from katoforms import generators
 from katoforms.generators import KIND_LINEAR, KIND_POWER, pattern_divisor
 from katoforms.forms import random_form_rng
 from katoforms.sexpr import print_certificate, print_form, print_quadform, print_ratfunc
@@ -175,6 +176,20 @@ def test_log_generators_shapes_and_vanishing(f2xy):
     assert pw.value == expected
     assert pw.check_shape()
     log_vanish_certificate(pw, ext)
+
+
+def test_log_generators_check_each_tail_once(f2xy, monkeypatch):
+    # the nu_member half of the shape check depends on the tail alone
+    x, y = f2xy.var(0), f2xy.var(1)
+    checked = []
+    real = generators.nu_member
+    monkeypatch.setattr(generators, "nu_member", lambda form: checked.append(form) or real(form))
+    gens = log_kernel_generators(f2xy, ((x, 2), (y, 1)), 2, [y, x + y], [[x * y]])
+    assert len(gens) == 8 and len(checked) == 1
+    gens = log_kernel_generators(f2xy, ((x, 2), (y, 1)), 2, [y, x + y], [[x * y], [x]])
+    assert len(gens) == 16 and len(checked) == 3
+    # each generator still passes the whole check on its own
+    assert all(g.check_shape() for g in gens)
 
 
 def test_rebase_permutation(f2xyz):

@@ -16,29 +16,42 @@ from katoforms import (
     exhaustive_exactness,
     is_exact,
     ratfunc_normalize,
-    solve_linear_fp,
     solve_wp_plus_d,
     verify_certificate,
     wp,
 )
 from katoforms.fields import all_monomials
 from katoforms.forms import random_form_rng
+from katoforms.kernels import gauss_solve
 from katoforms.oracle import artin_schreier_search
 from katoforms.sexpr import print_certificate, print_ratfunc
 
 
-def test_solve_linear_fp_canned_systems():
+def _solve_dense(rows, rhs, p):
+    """gauss_solve on dense rows, handed over as {column: coeff} dicts."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return gauss_solve(sparse, rhs, p, len(rows[0]) if rows else 0)
+
+
+def test_gauss_solve_canned_systems():
     # unique
-    assert solve_linear_fp([[1, 0], [0, 1]], [1, 2], 3) == [1, 2]
+    assert _solve_dense([[1, 0], [0, 1]], [1, 2], 3) == [1, 2]
     # underdetermined: some witness comes back and satisfies the system
-    sol = solve_linear_fp([[1, 1]], [1], 2)
+    sol = _solve_dense([[1, 1]], [1], 2)
     assert sol is not None and (sol[0] + sol[1]) % 2 == 1
     # infeasible
-    assert solve_linear_fp([[1, 0], [1, 0]], [1, 2], 3) is None
+    assert _solve_dense([[1, 0], [1, 0]], [1, 2], 3) is None
     # inputs are not modified
     rows, rhs = [[1, 2], [0, 1]], [1, 2]
-    solve_linear_fp(rows, rhs, 3)
+    _solve_dense(rows, rhs, 3)
     assert rows == [[1, 2], [0, 1]] and rhs == [1, 2]
+    sparse = [{0: 1, 1: 2}, {1: 1}]
+    gauss_solve(sparse, rhs, 3, 2)
+    assert sparse == [{0: 1, 1: 2}, {1: 1}] and rhs == [1, 2]
+    # entries are read mod p; columns no row reaches are free and zero
+    assert gauss_solve([{0: 3, 1: 4}], [2], 3, 3) == [0, 2, 0]
+    assert gauss_solve([], [], 3, 2) == [0, 0]
+    assert gauss_solve([{}], [1], 3, 2) is None
     # random systems with unreduced entries: every solution satisfies them
     gen = random.Random(2)
     for _ in range(300):
@@ -47,7 +60,7 @@ def test_solve_linear_fp_canned_systems():
         m = gen.randint(1, 6)
         rows = [[gen.randrange(-p, 2 * p) for _ in range(m)] for _ in range(n)]
         rhs = [gen.randrange(-p, 2 * p) for _ in range(n)]
-        sol = solve_linear_fp(rows, rhs, p)
+        sol = _solve_dense(rows, rhs, p)
         if sol is not None and n:
             for row, t in zip(rows, rhs):
                 assert sum(c * x for c, x in zip(row, sol)) % p == t % p
@@ -105,7 +118,7 @@ def test_gauss_solve_matches_dense_reference():
         else:
             rhs = [gen.randrange(-p, 2 * p) for _ in range(n)]
         expected = _dense_gauss_jordan(rows, rhs, p) if n else []
-        assert solve_linear_fp(rows, rhs, p) == expected
+        assert _solve_dense(rows, rhs, p) == expected
         kinds["infeasible"] += expected is None
         kinds["deficient"] += k < min(n, m)
         kinds["empty"] += n == 0 or m == 0 or any(not any(r) for r in rows)
@@ -206,6 +219,15 @@ def test_constructed_members_found(rng):
         eta = random_form_rng(fld, 0, 2, 2, rng, den_pool=pool)
         w = wp(u) + d(eta)
         assert solve_wp_plus_d(w, bounds) is not None
+
+
+def test_target_beyond_every_column_is_absent(f3xy):
+    # at these bounds the columns reach x^3 and y^3 at most; the packing's
+    # radix must also exceed the target's y^6, or y^6 would share the key
+    # of x and x^3 - y^6 would read as wp(x) = x^3 - x
+    x, y = f3xy.var(0), f3xy.var(1)
+    omega = DiffForm.scalar(f3xy, x ** 3 - y ** 6)
+    assert solve_wp_plus_d(omega, SearchBounds(1, (f3xy.const_poly(1),))) is None
 
 
 def test_negative_degree_bound_is_refused(f2x):

@@ -13,7 +13,6 @@ from katoforms import (
     QuadForm,
     Singular,
     arf,
-    artin_schreier_solve,
     bilinear_kernel_generators,
     build_adapted,
     dlog,
@@ -30,7 +29,7 @@ from katoforms import (
     restrict_quad,
     wedge,
 )
-from katoforms.oracle import SearchBounds
+from katoforms.oracle import SearchBounds, artin_schreier_search
 
 
 def test_pfister_dimensions(f2xy):
@@ -83,7 +82,7 @@ def test_arf_stable_under_hyperbolic_summands(f2xy, rng):
         base = arf(q)
         padded = arf(q.perp(hh))
         # representatives may differ by wp(F); both reductions here agree exactly
-        assert (padded - base).is_zero() or artin_schreier_solve(
+        assert (padded - base).is_zero() or artin_schreier_search(
             padded - base, SearchBounds(6, (f2xy.const_poly(1),))
         ) is not None
 
@@ -231,6 +230,6 @@ def test_kato_maps(f2xy):
 def test_artin_schreier_solver(f2x):
     x = f2x.var(0)
     bounds = SearchBounds(8, (f2x.const_poly(1), x.num))
-    assert artin_schreier_solve(x * x + x, bounds) == x
-    assert artin_schreier_solve(f2x.zero(), bounds) == f2x.zero()
-    assert artin_schreier_solve(x, bounds) is None  # absence within bounds
+    assert artin_schreier_search(x * x + x, bounds) == x
+    assert artin_schreier_search(f2x.zero(), bounds) == f2x.zero()
+    assert artin_schreier_search(x, bounds) is None  # absence within bounds
