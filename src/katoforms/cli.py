@@ -19,7 +19,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import sexpr
 from .certificates import (
@@ -606,8 +606,19 @@ def run(job: JobSpec) -> tuple[int, dict]:
     return code, report
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are input errors: a JSON report, exit 3.
+
+    Subparsers are made with the parser's own class, so they report alike;
+    ``--help`` still prints the usage and exits 0.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        sys.exit(_input_error(f"{self.prog}: {message}"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="katoforms",
         description="exact differential-form and quadratic-form calculus "
         "over rational function fields of positive characteristic",

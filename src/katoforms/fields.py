@@ -15,7 +15,7 @@ operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import FieldMismatch, ZeroDenominator
 from .kernels import poly_add, poly_mul
@@ -70,9 +70,15 @@ class PBasis:
         return len(self.vars)
 
 
-@dataclass(frozen=True)
-class FunctionField:
-    """The rational function field F_p(x_1, ..., x_m) with its fixed p-basis."""
+class FunctionField(NamedTuple):
+    """The rational function field F_p(x_1, ..., x_m) with its fixed p-basis.
+
+    A named tuple, so equality and hashing are the tuple's.  Every operand
+    check in the package compares fields, mostly a field with itself; tuple
+    comparison runs in C and tests each component for identity first, so
+    that check makes no Python call, while equal fields built apart still
+    compare equal.
+    """
 
     prime: PrimeField
     basis: PBasis
@@ -154,7 +160,12 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        # no zero coefficient is stored: a constant has no term or one at x^0
+        terms = self.terms
+        if len(terms) != 1:
+            return not terms
+        (exp,) = terms
+        return not any(exp)
 
     def const_value(self) -> int:
         if self.is_zero():
@@ -331,16 +342,6 @@ def _coeffs_in(a: MultiPoly, i: int) -> dict[int, MultiPoly]:
     return {d: MultiPoly(field, t) for d, t in out.items()}
 
 
-def _from_coeffs(field: FunctionField, i: int, coeffs: dict[int, MultiPoly]) -> MultiPoly:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for exp, c in poly.terms.items():
-            e = list(exp)
-            e[i] = d
-            terms[tuple(e)] = c
-    return MultiPoly(field, terms)
-
-
 def _content(a: MultiPoly, i: int) -> MultiPoly:
     """GCD of the x_i-coefficients of a (a polynomial free of x_i)."""
     g = a.field.zero_poly()
@@ -430,7 +431,11 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num == self.field.const_poly(1) and self.den == self.field.const_poly(1)
+        num, den = self.num, self.den
+        return (
+            num.is_const() and num.const_value() == 1
+            and den.is_const() and den.const_value() == 1
+        )
 
     def is_poly(self) -> bool:
         return self.den.is_const()

@@ -11,21 +11,31 @@ system over F_p is an exhaustive search of that space: a solution is a
 verified certificate, and absence means no witness exists *within the
 bounds* — a semi-decision, never an unqualified negative.
 
-The system is written over one fixed denominator D = lcm(L^p, denominators
-of omega), where L is the lcm of the candidate denominators.  A candidate
-is a/b with a a single term, so its images have closed forms over D:
+The system is written over one denominator fixed by the bounds alone,
+D = L^p, where L is the lcm of the candidate denominators.  A candidate is
+a/b with a a single term, so its images have closed forms over D:
 
     wp(a/b dx_I) = (a^p x_I^(p-1) - a b^(p-1)) * D/b^p          at I,
     d(a/b dx_J)  = sum_i sign * (d_i a * b - a * d_i b) * D/b^2   at i + J,
 
-and every column is a shifted, scaled copy of a few cofactors computed once
-per distinct b; no gcd is taken per column.  A row, dx_I times a monomial,
-is one int (``Packing``), so a shift is one integer add, and the columns go
-straight into the sparse rows that ``gauss_solve`` takes; no dense matrix is
-built.  ``gauss_solve`` eliminates the columns from left to right, so the
-pivot columns are the leftmost independent ones and the solution (free
-variables zero) does not depend on D, on the row order, on the packing or
-on the pivot rows chosen.
+Every image's denominator divides b^p (p >= 2 covers the b^2 of d), and
+b^p divides L^p, so every F_p-combination of the columns is a form whose
+coefficients, in lowest terms, have denominators dividing D.  A target
+coefficient whose denominator does not divide D is therefore absent within
+the bounds at once: no system is built and nothing is eliminated.  For
+any other target, D is also the lcm of L^p and the target's denominators.
+
+Every column is a shifted, scaled copy of a few cofactors computed once
+per distinct b; no gcd is taken per column.  A candidate is carried as
+(numerator exponent, coefficient, reduced denominator) and becomes a
+``RatFunc`` only when it enters a solution, as the reduced fraction
+(c * lambda) x^k / b.  A row, dx_I times a monomial, is one int
+(``Packing``), so a shift is one integer add, and the columns go straight
+into the sparse rows that ``gauss_solve`` takes; no dense matrix is built.
+``gauss_solve`` eliminates the columns from left to right, so the pivot
+columns are the leftmost independent ones and the solution (free variables
+zero) does not depend on D, on the row order, on the packing or on the
+pivot rows chosen.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -51,6 +61,10 @@ from .forms import DiffForm
 from .kernels import gauss_solve
 
 
+# (numerator exponent k, coefficient c, denominator b): the reduced fraction c x^k / b
+Candidate = tuple[tuple[int, ...], int, MultiPoly]
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Finite candidate space: numerator degree bound and allowed denominators."""
@@ -66,14 +80,15 @@ class SearchBounds:
         dens = ", ".join(repr(dn) for dn in self.denominators) or "1"
         return f"numerator total degree <= {self.max_degree}, denominators {{{dens}}}"
 
-    def candidate_functions(self, field: FunctionField) -> list[RatFunc]:
-        """Every mono/den in lowest terms, once, in (den, graded-lex) order.
+    def candidate_terms(self, field: FunctionField) -> list[Candidate]:
+        """Every mono/den in lowest terms, once, in (den, graded-lex) order,
+        as (numerator exponent, numerator coefficient, reduced denominator).
 
         gcd(x^e, den) = x^min(e, ord(den)), where ord(den) is the largest
-        monomial dividing den, so each fraction is reduced without a gcd.
-        A fraction is told apart by (numerator exponent, numerator
-        coefficient, reduced denominator); each reduced denominator caches
-        its hash, so no fraction is hashed whole.
+        monomial dividing den, so each fraction is reduced without a gcd;
+        dividing den by a monomial keeps its leading term, so scaling by
+        the inverse of its leading coefficient makes it monic.  Each
+        reduced denominator caches its hash, so no fraction is hashed whole.
         """
         dens = list(self.denominators) or [field.const_poly(1)]
         exps = [next(iter(mono.terms)) for mono in all_monomials(field, self.max_degree)]
@@ -96,13 +111,22 @@ class SearchBounds:
                         field,
                         {_minus(exp, g): (c * inv) % p for exp, c in den.terms.items()},
                     )
-                num = _minus(e, g)
-                key = (num, inv, rden)
-                if key in seen:
+                cand = (_minus(e, g), inv, rden)
+                if cand in seen:
                     continue
-                seen.add(key)
-                out.append(RatFunc(field, MultiPoly(field, {num: inv}), rden))
+                seen.add(cand)
+                out.append(cand)
         return out
+
+    def candidate_functions(self, field: FunctionField) -> list[RatFunc]:
+        """The candidates of ``candidate_terms`` as reduced fractions."""
+        return [_candidate_value(field, cand, 1) for cand in self.candidate_terms(field)]
+
+
+def _candidate_value(field: FunctionField, cand: Candidate, lam: int) -> RatFunc:
+    """lam times a candidate, lam nonzero mod p: still in lowest terms, so no gcd."""
+    k, c, b = cand
+    return RatFunc(field, MultiPoly(field, {k: c * lam % field.p}), b)
 
 
 def _minus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,15 +137,12 @@ def _poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return poly_exact_div(a * b, poly_gcd(a, b)).monic()
 
 
-def _common_denominator(dens: list[MultiPoly], omega: DiffForm) -> MultiPoly:
-    """D = lcm(L^p, denominators of omega), L the lcm of the candidate denominators."""
-    lcm = omega.field.const_poly(1)
+def _common_denominator(dens: list[MultiPoly]) -> MultiPoly:
+    """D = L^p, L the lcm of the candidate denominators."""
+    lcm = dens[0].field.const_poly(1)
     for b in dens:
         lcm = _poly_lcm(lcm, b)
-    common = lcm.frobenius_power()
-    for c in omega.coeffs.values():
-        common = _poly_lcm(common, c.den)
-    return common
+    return lcm.frobenius_power()
 
 
 class Packing:
@@ -144,7 +165,7 @@ class Packing:
 
     @classmethod
     def for_system(
-        cls, common: MultiPoly, candidates: list[RatFunc], targets: list[dict]
+        cls, common: MultiPoly, candidates: list[Candidate], targets: list[dict]
     ) -> "Packing":
         """The radix for the columns over ``common`` and the target terms.
 
@@ -155,7 +176,7 @@ class Packing:
         """
         p = common.field.p
         top_common = max(max(exp) for exp in common.terms)
-        top_num = max((max(next(iter(f.num.terms))) for f in candidates), default=0)
+        top_num = max((max(k) for k, _, _ in candidates), default=0)
         top_target = max((max(exp) for terms in targets for exp in terms), default=0)
         radix = 1 + max(top_common + p * top_num + p - 1, top_target)
         return cls(common.field.nvars, radix)
@@ -212,10 +233,10 @@ def _add_shifted(col: dict, terms: dict, shift: int, c: int, p: int) -> None:
             col.pop(key, None)
 
 
-def wp_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packing) -> dict:
-    """wp(fn dx_idx) times D as {packed key: coeff}; fn = c x^k / b."""
-    p = fn.field.p
-    ((k, c),) = fn.num.terms.items()
+def wp_column(idx: tuple[int, ...], cand: Candidate, cof: Cofactors, packing: Packing) -> dict:
+    """wp(c x^k / b dx_idx) times D as {packed key: coeff}; cand = (k, c, b)."""
+    k, c, b = cand
+    p = b.field.p
     packed = packing.exp(k)
     at = packing.slot(idx) + packed
     shift = at + (p - 1) * (packed + sum(packing.units[i] for i in idx))
@@ -225,14 +246,14 @@ def wp_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packin
     return col
 
 
-def d_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packing) -> dict:
-    """d(fn dx_idx) times D as {packed key: coeff}; fn = c x^k / b."""
-    p = fn.field.p
-    ((k, c),) = fn.num.terms.items()
+def d_column(idx: tuple[int, ...], cand: Candidate, cof: Cofactors, packing: Packing) -> dict:
+    """d(c x^k / b dx_idx) times D as {packed key: coeff}; cand = (k, c, b)."""
+    k, c, b = cand
+    p = b.field.p
     at = packing.slot(idx) + packing.exp(k)
     col: dict = {}
     below = 0
-    for i in range(fn.field.nvars):
+    for i in range(packing.nvars):
         if i in idx:
             below += 1
             continue
@@ -247,36 +268,41 @@ def d_column(idx: tuple[int, ...], fn: RatFunc, cof: Cofactors, packing: Packing
 
 def _solve_columns(
     omega: DiffForm, bounds: SearchBounds, with_wp: bool
-) -> tuple[list[tuple[int, tuple, RatFunc]], Optional[list[int]]]:
-    """The columns (kind, idx, fn) with a nonzero image, and the lambda with
-    sum lambda_j * image_j = omega, or None if there is none.
+) -> tuple[list[tuple[int, tuple, Candidate]], Optional[list[int]]]:
+    """The columns (kind, idx, candidate) with a nonzero image, and the
+    lambda with sum lambda_j * image_j = omega, or None if there is none.
 
-    Kind 0 is wp(fn dx_idx), built only ``with_wp``; kind 1 is d(fn dx_idx).
+    Kind 0 is wp(c x^k/b dx_idx), built only ``with_wp``; kind 1 is d(c x^k/b dx_idx).
     """
     field = omega.field
     n = omega.degree
-    candidates = bounds.candidate_functions(field)
-    dens = list(dict.fromkeys(f.den for f in candidates))
-    common = _common_denominator(dens, omega)
-    targets = {
-        idx: (c.num * poly_exact_div(common, c.den)).terms for idx, c in omega.coeffs.items()
-    }
+    candidates = bounds.candidate_terms(field)
+    dens = list(dict.fromkeys(b for _, _, b in candidates))
+    common = _common_denominator(dens)
+    targets = {}
+    for idx, c in omega.coeffs.items():
+        try:
+            cofactor = poly_exact_div(common, c.den)
+        except ValueError:
+            # no combination of columns has this denominator (module docstring)
+            return [], None
+        targets[idx] = (c.num * cofactor).terms
     packing = Packing.for_system(common, candidates, list(targets.values()))
     cofactors = {b: Cofactors(common, b, packing) for b in dens}
-    columns: list[tuple[int, tuple, RatFunc]] = []
+    columns: list[tuple[int, tuple, Candidate]] = []
     rows: dict = {}
     kinds = ([(0, n, wp_column)] if with_wp else []) + [(1, n - 1, d_column)]
     for kind, degree, image in kinds:
         if degree < 0:
             continue
         for idx in itertools.combinations(range(field.nvars), degree):
-            for fn in candidates:
-                vec = image(idx, fn, cofactors[fn.den], packing)
+            for cand in candidates:
+                vec = image(idx, cand, cofactors[cand[2]], packing)
                 if not vec:
                     continue
                 # transposed on the fly: rows[key] is the sparse row {column: coeff}
                 j = len(columns)
-                columns.append((kind, idx, fn))
+                columns.append((kind, idx, cand))
                 for key, v in vec.items():
                     row = rows.get(key)
                     if row is None:
@@ -310,11 +336,12 @@ def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certifica
         return None
     u = DiffForm.zero(field, n)
     eta = DiffForm.zero(field, n - 1)
-    for lam, (kind, idx, fn) in zip(sol, columns):
+    for lam, (kind, idx, cand) in zip(sol, columns):
         if lam % field.p == 0:
             continue
         piece_degree = n if kind == 0 else n - 1
-        piece = DiffForm.from_coeffs(field, piece_degree, {idx: fn.scale(lam)})
+        fn = _candidate_value(field, cand, lam)
+        piece = DiffForm.from_coeffs(field, piece_degree, {idx: fn})
         if kind == 0:
             u = u + piece
         else:

@@ -67,6 +67,32 @@ def test_classify_inconclusive():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-solve", "--form", "x dx", "--field", "F2(x)", "--deg", "abc"],
+        ["oracle-solve", "--form", "x dx"],
+        ["selftest", "--bogus"],
+        ["no-such-command"],
+    ],
+    ids=["deg-abc", "missing-field", "unknown-option", "unknown-command"],
+)
+def test_command_line_errors_are_exit_3(capsys, argv):
+    # exit 2 means "inconclusive within bounds", never a malformed command line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["oracle-solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 def test_malformed_input_is_exit_3():
     code, report = _run("classify", form="((", field="F2(x)")
     assert code == 3

@@ -3,6 +3,7 @@
 import pytest
 
 from katoforms import (
+    FieldMismatch,
     FunctionField,
     PrimeField,
     ZeroDenominator,
@@ -132,3 +133,53 @@ def test_arithmetic_field_axioms(f3xy, rng):
         if not b.is_zero():
             assert (a / b) * b == a
         assert a - a == f3xy.zero()
+
+
+def test_structure_checks_truth_table(f3xy):
+    x = f3xy.var(0)
+    one = f3xy.one()
+    # (value, is_const of the numerator, is_one, const_value or None if not constant)
+    table = [
+        (f3xy.zero(), True, False, 0),
+        (one, True, True, 1),
+        (f3xy.const(2), True, False, 2),
+        (x, False, False, None),
+        (one + x, False, False, None),
+    ]
+    for f, const, is_one, value in table:
+        assert f.num.is_const() is const
+        assert f.is_one() is is_one
+        assert f.is_poly()
+        if value is None:
+            with pytest.raises(ValueError):
+                f.num.const_value()
+        else:
+            assert f.num.const_value() == value
+    # a constant numerator over a nonconstant denominator is not one
+    assert not (one / x).is_one()
+    assert not (one / x).is_poly()
+
+
+def test_fields_made_apart_interoperate():
+    a = FunctionField.make(3, ["x", "y"])
+    b = FunctionField.make(3, ["x", "y"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    x, y = a.var(0), b.var(1)
+    s = x + y
+    assert s == b.var(0) + a.var(1)
+    assert s.num == poly_gcd(s.num, (x * (x + y)).num)
+    assert ratfunc_normalize(x.num, y.num) * b.var(1) == x
+    for other in (FunctionField.make(2, ["x", "y"]), FunctionField.make(3, ["x", "z"])):
+        assert other != a
+        u = other.var(0)
+        for op in (
+            lambda: x + u,
+            lambda: x * u,
+            lambda: x.num + u.num,
+            lambda: x.num * u.num,
+            lambda: poly_gcd(x.num, u.num),
+            lambda: ratfunc_normalize(x.num, u.num),
+        ):
+            with pytest.raises(FieldMismatch):
+                op()
+        assert x != u and x.num != u.num

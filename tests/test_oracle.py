@@ -230,6 +230,59 @@ def test_target_beyond_every_column_is_absent(f3xy):
     assert solve_wp_plus_d(omega, SearchBounds(1, (f3xy.const_poly(1),))) is None
 
 
+def test_denominator_outside_lp_is_absent_without_a_solve(monkeypatch):
+    # with dens {1, x} every column's denominator divides D = x^p: x^4 and
+    # x + y divide no combination of columns, so nothing is eliminated
+    import katoforms.oracle as oracle
+
+    calls = []
+    monkeypatch.setattr(
+        oracle, "gauss_solve", lambda *args: calls.append(args) or gauss_solve(*args)
+    )
+    f3 = FunctionField.make(3, ["x"])
+    x = f3.var(0)
+    g = FunctionField.make(3, ["x", "y"])
+    X, Y = g.var(0), g.var(1)
+    b1 = SearchBounds(4, (f3.const_poly(1), x.num))
+    b2 = SearchBounds(4, (g.const_poly(1), X.num))
+    for omega, bounds in [
+        (DiffForm.from_coeffs(f3, 1, {(0,): x.inv() ** 4}), b1),
+        (DiffForm.scalar(f3, x.inv() ** 4), b1),
+        (DiffForm.from_coeffs(g, 1, {(0,): Y / (X + Y)}), b2),
+        (DiffForm.from_coeffs(g, 2, {(0, 1): (X + Y).inv()}), b2),
+    ]:
+        assert solve_wp_plus_d(omega, bounds) is None
+        assert exhaustive_exactness(omega, bounds) is False
+    assert calls == []
+
+
+def test_denominator_inside_lp_not_l():
+    # x^2 and x^3 divide D = x^3 but not L = x: still solved over D
+    f3 = FunctionField.make(3, ["x"])
+    x = f3.var(0)
+    b1 = SearchBounds(2, (f3.const_poly(1), x.num))
+    g = FunctionField.make(3, ["x", "y"])
+    X, Y = g.var(0), g.var(1)
+    b2 = SearchBounds(2, (g.const_poly(1), X.num))
+    cases = [
+        (d(DiffForm.scalar(f3, x.inv())), b1),
+        (DiffForm.scalar(f3, x.inv() * x.inv()), b1),
+        (d(DiffForm.scalar(f3, x.inv() * x.inv())), b1),
+        (d(DiffForm.scalar(g, Y / X)) + wp(DiffForm.from_coeffs(g, 1, {(1,): X})), b2),
+        (d(DiffForm.scalar(g, Y / X)).scale(Y), b2),
+    ]
+    h = hashlib.sha256()
+    exact = []
+    for omega, bounds in cases:
+        cert = solve_wp_plus_d(omega, bounds)
+        h.update((print_certificate(cert) if cert is not None else "absent").encode())
+        exact.append(exhaustive_exactness(omega, bounds))
+    assert h.hexdigest() == (
+        "90592b1227f398152700e7d6faf41ee02c7e64f4a9157590d8dddd9f4b57330f"
+    )
+    assert exact == [True, False, False, False, False]
+
+
 def test_negative_degree_bound_is_refused(f2x):
     with pytest.raises(ValueError):
         SearchBounds(-1, (f2x.const_poly(1),))

@@ -56,8 +56,10 @@ def test_closed_form_column_matches_forms(case):
         for exp, v in cleared.terms.items():
             expected[(jdx, exp)] = v
     column = wp_column if kind == "wp" else d_column
-    packing = Packing.for_system(common, [fn], [])
-    packed = column(idx, fn, Cofactors(common, fn.den, packing), packing)
+    ((k, c),) = fn.num.terms.items()
+    cand = (k, c, fn.den)
+    packing = Packing.for_system(common, [cand], [])
+    packed = column(idx, cand, Cofactors(common, fn.den, packing), packing)
     assert {packing.unpack(key): v for key, v in packed.items()} == expected
 
 
