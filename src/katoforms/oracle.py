@@ -22,7 +22,7 @@ Every image's denominator divides b^p (p >= 2 covers the b^2 of d), and
 b^p divides L^p, so every F_p-combination of the columns is a form whose
 coefficients, in lowest terms, have denominators dividing D.  A target
 coefficient whose denominator does not divide D is therefore absent within
-the bounds at once: no system is built and nothing is eliminated.  For
+the bounds at once: no columns are built and nothing is eliminated.  For
 any other target, D is also the lcm of L^p and the target's denominators.
 
 Every column is a shifted, scaled copy of a few cofactors computed once
@@ -37,6 +37,18 @@ columns are the leftmost independent ones and the solution (free variables
 zero) does not depend on D, on the row order, on the packing or on the
 pivot rows chosen.
 
+The system is a function of the bounds: the candidates, D, the packing and
+the columns depend on (bounds, field, form degree, with or without wp) and
+not on omega, which only picks the right-hand side.  So each system is
+built once per bounds value and memoized in a ``WeakKeyDictionary`` keyed
+by the bounds (``Space``, ``System``): equal bounds share one system, and
+it is dropped with the bounds, so no size limit is needed.  Per call, the
+target is packed into a right-hand side and handed to ``gauss_solve``,
+which does not modify the rows.  A target key in no row (an exponent at or
+above the radix, or a monomial no column reaches) is absent at once, as
+the empty row it would fill is infeasible.  Two threads may both build a
+missing system; the build is deterministic, so either result serves.
+
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
 """
@@ -44,6 +56,7 @@ This module is deliberately independent of the constructive rewriting in
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -73,8 +86,13 @@ class SearchBounds:
     denominators: tuple[MultiPoly, ...] = dc_field(default=())
 
     def __post_init__(self) -> None:
+        # bounds key the oracle's memo of systems: hashable, and equal
+        # whatever sequence the denominators came in
+        if isinstance(self.max_degree, bool) or not isinstance(self.max_degree, int):
+            raise ValueError(f"degree bound {self.max_degree!r} is not an integer")
         if self.max_degree < 0:
             raise ValueError(f"degree bound {self.max_degree} is negative")
+        object.__setattr__(self, "denominators", tuple(self.denominators))
 
     def describe(self) -> str:
         dens = ", ".join(repr(dn) for dn in self.denominators) or "1"
@@ -164,22 +182,18 @@ class Packing:
         self.top = radix ** nvars
 
     @classmethod
-    def for_system(
-        cls, common: MultiPoly, candidates: list[Candidate], targets: list[dict]
-    ) -> "Packing":
-        """The radix for the columns over ``common`` and the target terms.
+    def for_system(cls, common: MultiPoly, candidates: list[Candidate]) -> "Packing":
+        """The radix for the columns over ``common``.
 
         Every cofactor (D/b^p, D/b, d_i(b) D/b^2) has degree at most
         deg_i(D) in each x_i, and a column shifts it by at most p*k + p - 1
-        for its numerator x^k, so the largest digit a row key can reach is
-        the larger of that and the largest target exponent.
+        for its numerator x^k, so no row key has a digit above that.  A
+        target exponent at or above the radix is in no row.
         """
         p = common.field.p
         top_common = max(max(exp) for exp in common.terms)
         top_num = max((max(k) for k, _, _ in candidates), default=0)
-        top_target = max((max(exp) for terms in targets for exp in terms), default=0)
-        radix = 1 + max(top_common + p * top_num + p - 1, top_target)
-        return cls(common.field.nvars, radix)
+        return cls(common.field.nvars, 1 + top_common + p * top_num + p - 1)
 
     def exp(self, exp: tuple[int, ...]) -> int:
         key = 0
@@ -266,59 +280,121 @@ def d_column(idx: tuple[int, ...], cand: Candidate, cof: Cofactors, packing: Pac
     return col
 
 
-def _solve_columns(
-    omega: DiffForm, bounds: SearchBounds, with_wp: bool
-) -> tuple[list[tuple[int, tuple, Candidate]], Optional[list[int]]]:
-    """The columns (kind, idx, candidate) with a nonzero image, and the
-    lambda with sum lambda_j * image_j = omega, or None if there is none.
+class Space:
+    """What the bounds fix over one field: the candidates, their distinct
+    denominators, D = L^p, the packing of the row keys and the systems
+    built so far, one per (form degree, with_wp)."""
+
+    __slots__ = ("candidates", "dens", "common", "packing", "systems")
+
+    def __init__(self, bounds: SearchBounds, field: FunctionField):
+        self.candidates = bounds.candidate_terms(field)
+        self.dens = list(dict.fromkeys(b for _, _, b in self.candidates))
+        self.common = _common_denominator(self.dens)
+        self.packing = Packing.for_system(self.common, self.candidates)
+        self.systems: dict[tuple[int, bool], System] = {}
+
+    def system(self, n: int, with_wp: bool) -> "System":
+        system = self.systems.get((n, with_wp))
+        if system is None:
+            system = self.systems[n, with_wp] = System(self, n, with_wp)
+        return system
+
+    def target(self, omega: DiffForm) -> Optional[dict]:
+        """omega times D as {packed key: coeff}, or None if a coefficient's
+        denominator does not divide D or an exponent reaches the radix: no
+        combination of columns is omega then (module docstring)."""
+        packing = self.packing
+        target = {}
+        for idx, c in omega.coeffs.items():
+            try:
+                cofactor = poly_exact_div(self.common, c.den)
+            except ValueError:
+                return None
+            at = packing.slot(idx)
+            for exp, v in (c.num * cofactor).terms.items():
+                if max(exp) >= packing.radix:
+                    return None
+                target[at + packing.exp(exp)] = v
+        return target
+
+
+class System:
+    """The linear system of one space at form degree n, all but its
+    right-hand side: the columns (kind, idx, candidate) with a nonzero
+    image, the sparse rows {column: coeff} and the index of each row key.
 
     Kind 0 is wp(c x^k/b dx_idx), built only ``with_wp``; kind 1 is d(c x^k/b dx_idx).
     """
+
+    __slots__ = ("columns", "rows", "row_index")
+
+    def __init__(self, space: Space, n: int, with_wp: bool):
+        field = space.common.field
+        packing = space.packing
+        cofactors = {b: Cofactors(space.common, b, packing) for b in space.dens}
+        columns: list[tuple[int, tuple, Candidate]] = []
+        rows: dict = {}
+        kinds = ([(0, n, wp_column)] if with_wp else []) + [(1, n - 1, d_column)]
+        for kind, degree, image in kinds:
+            if degree < 0:
+                continue
+            for idx in itertools.combinations(range(field.nvars), degree):
+                for cand in space.candidates:
+                    vec = image(idx, cand, cofactors[cand[2]], packing)
+                    if not vec:
+                        continue
+                    # transposed on the fly: rows[key] is the sparse row {column: coeff}
+                    j = len(columns)
+                    columns.append((kind, idx, cand))
+                    for key, v in vec.items():
+                        row = rows.get(key)
+                        if row is None:
+                            rows[key] = {j: v}
+                        else:
+                            row[j] = v
+        self.columns = columns
+        self.rows = list(rows.values())
+        self.row_index = {key: i for i, key in enumerate(rows)}
+
+    def rhs(self, target: dict) -> Optional[list[int]]:
+        """The right-hand side of a packed target, or None if one of its
+        keys is in no row: an empty row with a nonzero target is infeasible."""
+        row_index = self.row_index
+        rhs = [0] * len(self.rows)
+        for key, v in target.items():
+            i = row_index.get(key)
+            if i is None:
+                return None
+            rhs[i] = v
+        return rhs
+
+
+# bounds -> {field: Space}; equal bounds share one entry, and it goes when
+# the bounds it was first stored under do
+_SYSTEMS: "weakref.WeakKeyDictionary[SearchBounds, dict]" = weakref.WeakKeyDictionary()
+
+
+def _solve_columns(
+    omega: DiffForm, bounds: SearchBounds, with_wp: bool
+) -> tuple[list[tuple[int, tuple, Candidate]], Optional[list[int]]]:
+    """The columns of the system at the bounds (``System``), and the lambda
+    with sum lambda_j * image_j = omega, or None if there is none."""
     field = omega.field
-    n = omega.degree
-    candidates = bounds.candidate_terms(field)
-    dens = list(dict.fromkeys(b for _, _, b in candidates))
-    common = _common_denominator(dens)
-    targets = {}
-    for idx, c in omega.coeffs.items():
-        try:
-            cofactor = poly_exact_div(common, c.den)
-        except ValueError:
-            # no combination of columns has this denominator (module docstring)
-            return [], None
-        targets[idx] = (c.num * cofactor).terms
-    packing = Packing.for_system(common, candidates, list(targets.values()))
-    cofactors = {b: Cofactors(common, b, packing) for b in dens}
-    columns: list[tuple[int, tuple, Candidate]] = []
-    rows: dict = {}
-    kinds = ([(0, n, wp_column)] if with_wp else []) + [(1, n - 1, d_column)]
-    for kind, degree, image in kinds:
-        if degree < 0:
-            continue
-        for idx in itertools.combinations(range(field.nvars), degree):
-            for cand in candidates:
-                vec = image(idx, cand, cofactors[cand[2]], packing)
-                if not vec:
-                    continue
-                # transposed on the fly: rows[key] is the sparse row {column: coeff}
-                j = len(columns)
-                columns.append((kind, idx, cand))
-                for key, v in vec.items():
-                    row = rows.get(key)
-                    if row is None:
-                        rows[key] = {j: v}
-                    else:
-                        row[j] = v
-    target = {}
-    for idx, terms in targets.items():
-        at = packing.slot(idx)
-        for exp, v in terms.items():
-            target[at + packing.exp(exp)] = v
-    # a target key that no column reaches is an empty row: infeasible
-    for key in target:
-        rows.setdefault(key, {})
-    rhs = [target.get(key, 0) for key in rows]
-    return columns, gauss_solve(list(rows.values()), rhs, field.p, len(columns))
+    memo = _SYSTEMS.get(bounds)
+    if memo is None:
+        memo = _SYSTEMS[bounds] = {}
+    space = memo.get(field)
+    if space is None:
+        space = memo[field] = Space(bounds, field)
+    target = space.target(omega)
+    if target is None:
+        return [], None
+    system = space.system(omega.degree, with_wp)
+    rhs = system.rhs(target)
+    if rhs is None:
+        return system.columns, None
+    return system.columns, gauss_solve(system.rows, rhs, field.p, len(system.columns))
 
 
 def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certificate]:

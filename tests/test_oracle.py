@@ -288,6 +288,21 @@ def test_negative_degree_bound_is_refused(f2x):
         SearchBounds(-1, (f2x.const_poly(1),))
 
 
+def test_bounds_are_hashable_values(f2x):
+    # a list of denominators is stored as a tuple: the bounds hash, equal
+    # the tuple-built bounds, and cannot change under the oracle's memo
+    one, x = f2x.const_poly(1), f2x.var_poly(0)
+    dens = [one, x]
+    bounds = SearchBounds(3, dens)
+    dens.append(x * x)
+    assert bounds.denominators == (one, x)
+    assert bounds == SearchBounds(3, (one, x))
+    assert hash(bounds) == hash(SearchBounds(3, (one, x)))
+    for bad in (True, 3.0, "3", None):
+        with pytest.raises(ValueError):
+            SearchBounds(bad, (one,))
+
+
 def test_candidates_are_reduced_fractions(f3xy):
     # the closed-form reduction agrees with ratfunc_normalize, order included
     x, y = f3xy.var_poly(0), f3xy.var_poly(1)

@@ -58,7 +58,7 @@ def test_closed_form_column_matches_forms(case):
     column = wp_column if kind == "wp" else d_column
     ((k, c),) = fn.num.terms.items()
     cand = (k, c, fn.den)
-    packing = Packing.for_system(common, [cand], [])
+    packing = Packing.for_system(common, [cand])
     packed = column(idx, cand, Cofactors(common, fn.den, packing), packing)
     assert {packing.unpack(key): v for key, v in packed.items()} == expected
 

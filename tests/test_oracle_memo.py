@@ -1,0 +1,176 @@
+"""The oracle's per-bounds systems: built once per bounds value, shared by
+equal bounds, dropped with them, and invisible in every answer."""
+
+import gc
+import hashlib
+import random
+import sys
+import threading
+
+import pytest
+
+import katoforms.oracle as oracle
+from katoforms import (
+    DiffForm,
+    FunctionField,
+    SearchBounds,
+    d,
+    dlog,
+    exhaustive_exactness,
+    ratfunc_normalize,
+    solve_wp_plus_d,
+    wp,
+)
+from katoforms.sexpr import print_certificate
+
+# pinned from the oracle that rebuilt its system on every call
+DIGEST = "5594d98978c25929938b41b38f2a7826545bfba0133d37eab2396a54025f018f"
+FOUND = [True, False, True, False, True, False, True, False, True, False, True, False]
+EXACT = [False, False, True, False, False, False, True, False, False, False, True, False]
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    oracle._SYSTEMS.clear()
+    yield
+    oracle._SYSTEMS.clear()
+
+
+def _span_form(fld, n, deg, dens, gen):
+    """n-form with two bounded monomials over dens as coefficients."""
+    coeffs = {}
+    for _ in range(2):
+        idx = tuple(sorted(gen.sample(range(fld.nvars), n)))
+        exp = [0] * fld.nvars
+        for _ in range(gen.randint(0, deg)):
+            exp[gen.randrange(fld.nvars)] += 1
+        c = ratfunc_normalize(
+            fld.monomial(tuple(exp), gen.randint(1, fld.p - 1)), gen.choice(dens)
+        )
+        coeffs[idx] = c if idx not in coeffs else coeffs[idx] + c
+    return DiffForm.from_coeffs(fld, n, coeffs)
+
+
+def _cases():
+    """(omega, (max_degree, denominators)) pairs, found and absent
+    alternating, on two bounds values of F3(x,y) and one of F2(x,y,z)."""
+    gen = random.Random(20261018)
+    f3 = FunctionField.make(3, ["x", "y"])
+    x, y = f3.var_poly(0), f3.var_poly(1)
+    one = f3.const_poly(1)
+    f2 = FunctionField.make(2, ["x", "y", "z"])
+    cases = []
+    for fld, n, deg, dens in [
+        (f3, 1, 5, (one, x, y, x + y)),
+        (f3, 1, 3, (one, x)),
+        (f2, 2, 2, (f2.const_poly(1), f2.var_poly(0))),
+    ]:
+        for k in range(2):
+            # members: wp(u) + d(eta), then an exact d(eta)
+            member = d(_span_form(fld, n - 1, deg, dens, gen))
+            if k == 0:
+                member = member + wp(_span_form(fld, n, deg, dens, gen))
+            cases.append((member, (deg, dens)))
+            # misses: a nonzero class, then a coefficient beyond the bounds
+            if k == 0:
+                xs = [fld.var(i) for i in range(fld.nvars)]
+                miss = dlog(xs[0]).scale(xs[1])
+                if n == 2:
+                    miss = DiffForm.from_coeffs(fld, 2, {(0, 1): xs[2] / (xs[0] * xs[1])})
+            else:
+                miss = d(_span_form(fld, n - 1, deg, dens, gen)) + _span_form(
+                    fld, n, deg + 3, dens, gen
+                )
+            cases.append((miss, (deg, dens)))
+    return cases
+
+
+def _answers(cases, bounds_for, exactness_first=False):
+    """sha256 of the certificates, which cases were found, which were exact."""
+    h = hashlib.sha256()
+    found, exact = [], []
+    for omega, key in cases:
+        if exactness_first:
+            exact.append(exhaustive_exactness(omega, bounds_for(key)))
+        cert = solve_wp_plus_d(omega, bounds_for(key))
+        h.update((print_certificate(cert) if cert is not None else "absent").encode())
+        found.append(cert is not None)
+        if not exactness_first:
+            exact.append(exhaustive_exactness(omega, bounds_for(key)))
+    return h.hexdigest(), found, exact
+
+
+def test_one_shared_bounds_and_fresh_equal_bounds_agree():
+    # found and absent targets interleave on each system
+    cases = _cases()
+    shared = {key: SearchBounds(*key) for _, key in cases}
+    assert _answers(cases, shared.__getitem__) == (DIGEST, FOUND, EXACT)
+    oracle._SYSTEMS.clear()
+    assert _answers(cases, lambda key: SearchBounds(*key)) == (DIGEST, FOUND, EXACT)
+
+
+def test_exactness_first_gives_the_same_answers():
+    cases = _cases()
+    shared = {key: SearchBounds(*key) for _, key in cases}
+    assert _answers(cases, shared.__getitem__, exactness_first=True) == (DIGEST, FOUND, EXACT)
+
+
+def test_five_solves_build_one_system(monkeypatch):
+    calls = {"candidates": 0, "wp": 0}
+    candidate_terms = SearchBounds.candidate_terms
+    wp_column = oracle.wp_column
+
+    def count_candidates(self, field):
+        calls["candidates"] += 1
+        return candidate_terms(self, field)
+
+    def count_wp(*args):
+        calls["wp"] += 1
+        return wp_column(*args)
+
+    monkeypatch.setattr(SearchBounds, "candidate_terms", count_candidates)
+    monkeypatch.setattr(oracle, "wp_column", count_wp)
+    cases = _cases()[:4]
+    bounds = SearchBounds(*cases[0][1])
+    solve_wp_plus_d(cases[0][0], bounds)
+    built = dict(calls)
+    assert built["candidates"] == 1 and built["wp"] > 0
+    for omega, _ in cases[1:] + cases[:1]:
+        solve_wp_plus_d(omega, bounds)
+    # an equal bounds value finds the same system
+    solve_wp_plus_d(cases[0][0], SearchBounds(*cases[0][1]))
+    assert calls == built
+
+
+def test_entry_goes_with_its_bounds():
+    omega, key = _cases()[0]
+    bounds = SearchBounds(*key)
+    assert solve_wp_plus_d(omega, bounds) is not None
+    assert bounds in oracle._SYSTEMS
+    del bounds
+    gc.collect()
+    assert len(oracle._SYSTEMS) == 0
+
+
+def test_concurrent_callers_get_the_same_answers():
+    # threads racing to build one missing system may both build it; the
+    # build is deterministic, so every thread still gets the pinned answers
+    cases = _cases()
+    shared = {key: SearchBounds(*key) for _, key in cases}
+    results = []
+
+    def work(exactness_first):
+        results.append(_answers(cases, shared.__getitem__, exactness_first))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2 == 1,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(DIGEST, FOUND, EXACT)] * 4
