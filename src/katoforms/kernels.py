@@ -2,10 +2,14 @@
 
 Polynomial terms are plain dicts mapping exponent tuples to coefficients
 in ``1..p-1``.  Zero coefficients are never stored.  A linear system is
-sparse too: each row a dict mapping column indices to coefficients.
+sparse too: each row a dict mapping column indices to coefficients.  Its
+elimination is recorded once (``Factorization``) and replayed for each
+right-hand side.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 # Named in every selftest report and in the benchmark's result files.
 IMPL_NAME = "python (fallback)"
@@ -45,13 +49,13 @@ def poly_mul(a: dict, b: dict, p: int) -> dict:
     return out
 
 
-def gauss_solve(rows: list, rhs: list, p: int, ncols: int) -> list | None:
-    """One solution of ``rows * x = rhs`` over F_p, or None if infeasible.
+class Factorization:
+    """The elimination of a sparse system ``rows * x = rhs`` over F_p,
+    recorded once so that each right-hand side only replays it.
 
     ``rows[i]`` is the sparse row ``{column: coeff}`` with columns in
-    ``range(ncols)``; coefficients and ``rhs`` are read mod p.  Free
-    variables are set to zero, so underdetermined systems still return a
-    witness of length ``ncols``.  Inputs are not modified.
+    ``range(ncols)``; coefficients are read mod p and the rows are not
+    modified.
 
     Elimination runs over the nonzero entries only.  Columns are taken
     from left to right; the pivot of a column is the lightest row not yet
@@ -59,49 +63,102 @@ def gauss_solve(rows: list, rhs: list, p: int, ncols: int) -> list | None:
     row index), as in structured Gaussian elimination.  The pivot columns
     are therefore the leftmost independent ones, and back-substitution
     gives the unique solution supported on them, whatever rows were chosen.
-    """
-    n = len(rows)
-    a = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
-    b = [v % p for v in rhs]
-    # holders[j]: the rows not yet used as pivots with a nonzero entry in column j
-    holders: list[set] = [set() for _ in range(ncols)]
-    for i, row in enumerate(a):
-        for j in row:
-            holders[j].add(i)
 
-    pivots = []
-    for col in range(ncols):
-        if not holders[col]:
-            continue
-        r = min(holders[col], key=lambda i: (len(a[i]), i))
-        pr = a[r]
-        for j in pr:
-            holders[j].discard(r)
-        inv = pow(pr[col], p - 2, p)
-        if inv != 1:
+    Each pivot step is kept as (pivot row, inverse of its pivot entry,
+    the rows it eliminated, their multipliers), each pivot as (column, row,
+    the other columns of its reduced row, their entries) for
+    back-substitution, and the rows that never became pivots for the
+    consistency check.  All of it is frozen after construction, so one
+    factorization serves any number of callers.
+    """
+
+    __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "rest")
+
+    def __init__(self, rows: list, p: int, ncols: int):
+        n = len(rows)
+        a = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
+        # holders[j]: the rows not yet used as pivots with a nonzero entry in column j
+        holders: list[set] = [set() for _ in range(ncols)]
+        for i, row in enumerate(a):
+            for j in row:
+                holders[j].add(i)
+
+        steps = []
+        pivots = []
+        for col in range(ncols):
+            if not holders[col]:
+                continue
+            r = min(holders[col], key=lambda i: (len(a[i]), i))
+            pr = a[r]
             for j in pr:
-                pr[j] = (pr[j] * inv) % p
-            b[r] = (b[r] * inv) % p
-        for i in list(holders[col]):
-            ri = a[i]
-            f = ri[col]
-            for j, v in pr.items():
-                s = (ri.get(j, 0) - f * v) % p
-                if s:
-                    if j not in ri:
-                        holders[j].add(i)
-                    ri[j] = s
-                elif j in ri:
-                    del ri[j]
-                    holders[j].discard(i)
-            b[i] = (b[i] - f * b[r]) % p
-        pivots.append((col, r))
-        if len(pivots) == n:
-            break
-    pivot_rows = {r for _, r in pivots}
-    if any(b[i] for i in range(n) if i not in pivot_rows):
-        return None
-    x = [0] * ncols
-    for col, r in reversed(pivots):
-        x[col] = (b[r] - sum(v * x[j] for j, v in a[r].items() if j != col)) % p
-    return x
+                holders[j].discard(r)
+            inv = pow(pr[col], p - 2, p)
+            if inv != 1:
+                for j in pr:
+                    pr[j] = (pr[j] * inv) % p
+            eliminated = list(holders[col])
+            factors = []
+            for i in eliminated:
+                ri = a[i]
+                f = ri[col]
+                for j, v in pr.items():
+                    s = (ri.get(j, 0) - f * v) % p
+                    if s:
+                        if j not in ri:
+                            holders[j].add(i)
+                        ri[j] = s
+                    elif j in ri:
+                        del ri[j]
+                        holders[j].discard(i)
+                factors.append(f)
+            steps.append((r, inv, tuple(eliminated), tuple(factors)))
+            pivots.append((col, r))
+            if len(pivots) == n:
+                break
+        back = []
+        for col, r in reversed(pivots):
+            others = tuple(j for j in a[r] if j != col)
+            back.append((col, r, others, tuple(a[r][j] for j in others)))
+        pivot_rows = {r for _, r in pivots}
+        self.p = p
+        self.ncols = ncols
+        self.nrows = n
+        self.steps = tuple(steps)
+        self.pivots = tuple(back)
+        self.rest = tuple(i for i in range(n) if i not in pivot_rows)
+
+    def solve(self, rhs: list) -> list | None:
+        """One solution for the right-hand side ``rhs`` (read mod p), free
+        variables zero, or None if infeasible.  ``rhs`` is not modified.
+
+        The recorded steps act on ``rhs`` alone; a step whose pivot entry
+        of the right-hand side is zero changes nothing and is skipped.
+        """
+        if len(rhs) != self.nrows:
+            raise ValueError(f"{len(rhs)} right-hand sides for {self.nrows} rows")
+        p = self.p
+        b = [v % p for v in rhs]
+        for r, inv, eliminated, factors in self.steps:
+            br = b[r]
+            if not br:
+                continue
+            if inv != 1:
+                br = b[r] = (br * inv) % p
+            for i, f in zip(eliminated, factors):
+                b[i] = (b[i] - f * br) % p
+        if any(b[i] for i in self.rest):
+            return None
+        x = [0] * self.ncols
+        for col, r, cols, entries in self.pivots:
+            x[col] = (b[r] - sum(map(mul, entries, map(x.__getitem__, cols)))) % p
+        return x
+
+
+def gauss_solve(rows: list, rhs: list, p: int, ncols: int) -> list | None:
+    """One solution of ``rows * x = rhs`` over F_p, or None if infeasible:
+    the ``Factorization`` of the rows, solved for ``rhs``.
+
+    Free variables are set to zero, so underdetermined systems still return
+    a witness of length ``ncols``.  Inputs are not modified.
+    """
+    return Factorization(rows, p, ncols).solve(rhs)

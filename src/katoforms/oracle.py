@@ -31,23 +31,27 @@ per distinct b; no gcd is taken per column.  A candidate is carried as
 ``RatFunc`` only when it enters a solution, as the reduced fraction
 (c * lambda) x^k / b.  A row, dx_I times a monomial, is one int
 (``Packing``), so a shift is one integer add, and the columns go straight
-into the sparse rows that ``gauss_solve`` takes; no dense matrix is built.
-``gauss_solve`` eliminates the columns from left to right, so the pivot
-columns are the leftmost independent ones and the solution (free variables
-zero) does not depend on D, on the row order, on the packing or on the
-pivot rows chosen.
+into sparse rows {column: coeff}; no dense matrix is built.  The
+elimination (``kernels.Factorization``, the one behind ``gauss_solve``)
+takes the columns from left to right, so the pivot columns are the
+leftmost independent ones and the solution (free variables zero) does not
+depend on D, on the row order, on the packing or on the pivot rows chosen.
 
 The system is a function of the bounds: the candidates, D, the packing and
 the columns depend on (bounds, field, form degree, with or without wp) and
 not on omega, which only picks the right-hand side.  So each system is
 built once per bounds value and memoized in a ``WeakKeyDictionary`` keyed
 by the bounds (``Space``, ``System``): equal bounds share one system, and
-it is dropped with the bounds, so no size limit is needed.  Per call, the
-target is packed into a right-hand side and handed to ``gauss_solve``,
-which does not modify the rows.  A target key in no row (an exponent at or
+it is dropped with the bounds, so no size limit is needed.  A system is
+factored when it is built and keeps only its columns, its row index and
+the factorization, not the rows.  Per call, the target is packed into a
+right-hand side and the recorded elimination is replayed on it alone: the
+pivots and the arithmetic are those of ``gauss_solve`` on the same rows,
+so the solution is the same.  A target key in no row (an exponent at or
 above the radix, or a monomial no column reaches) is absent at once, as
 the empty row it would fill is infeasible.  Two threads may both build a
-missing system; the build is deterministic, so either result serves.
+missing system; the build is deterministic and a system is frozen once
+built, so either result serves.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -71,7 +75,7 @@ from .fields import (
     poly_gcd,
 )
 from .forms import DiffForm
-from .kernels import gauss_solve
+from .kernels import Factorization
 
 
 # (numerator exponent k, coefficient c, denominator b): the reduced fraction c x^k / b
@@ -322,12 +326,13 @@ class Space:
 class System:
     """The linear system of one space at form degree n, all but its
     right-hand side: the columns (kind, idx, candidate) with a nonzero
-    image, the sparse rows {column: coeff} and the index of each row key.
+    image, the index of each row key, and the ``Factorization`` of the
+    sparse rows {column: coeff}.  The rows themselves are not kept.
 
     Kind 0 is wp(c x^k/b dx_idx), built only ``with_wp``; kind 1 is d(c x^k/b dx_idx).
     """
 
-    __slots__ = ("columns", "rows", "row_index")
+    __slots__ = ("columns", "row_index", "factorization")
 
     def __init__(self, space: Space, n: int, with_wp: bool):
         field = space.common.field
@@ -354,14 +359,14 @@ class System:
                         else:
                             row[j] = v
         self.columns = columns
-        self.rows = list(rows.values())
         self.row_index = {key: i for i, key in enumerate(rows)}
+        self.factorization = Factorization(list(rows.values()), field.p, len(columns))
 
     def rhs(self, target: dict) -> Optional[list[int]]:
         """The right-hand side of a packed target, or None if one of its
         keys is in no row: an empty row with a nonzero target is infeasible."""
         row_index = self.row_index
-        rhs = [0] * len(self.rows)
+        rhs = [0] * len(row_index)
         for key, v in target.items():
             i = row_index.get(key)
             if i is None:
@@ -394,7 +399,7 @@ def _solve_columns(
     rhs = system.rhs(target)
     if rhs is None:
         return system.columns, None
-    return system.columns, gauss_solve(system.rows, rhs, field.p, len(system.columns))
+    return system.columns, system.factorization.solve(rhs)
 
 
 def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certificate]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -22,7 +23,7 @@ from katoforms import (
 )
 from katoforms.fields import all_monomials
 from katoforms.forms import random_form_rng
-from katoforms.kernels import gauss_solve
+from katoforms.kernels import Factorization, gauss_solve
 from katoforms.oracle import artin_schreier_search
 from katoforms.sexpr import print_certificate, print_ratfunc
 
@@ -123,6 +124,60 @@ def test_gauss_solve_matches_dense_reference():
         kinds["deficient"] += k < min(n, m)
         kinds["empty"] += n == 0 or m == 0 or any(not any(r) for r in rows)
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_factorization_replays_every_right_hand_side():
+    # one factorization per system, solved for many right-hand sides: each
+    # answer is gauss_solve's and the dense reference's, and solving
+    # modifies neither the rows, the right-hand side nor the factorization
+    gen = random.Random(23)
+    kinds = {"feasible": 0, "infeasible": 0, "zero": 0}
+    for _ in range(300):
+        p = gen.choice([2, 3, 5])
+        n = gen.randint(0, 9)
+        m = gen.randint(0, 9)
+        # sparse rows of rank at most k, some entries stored unreduced or as 0 mod p
+        k = gen.randint(0, min(n, m))
+        base = [[gen.randrange(p) if gen.random() < 0.4 else 0 for _ in range(m)] for _ in range(k)]
+        dense = []
+        for _ in range(n):
+            mix = [gen.randrange(p) if gen.random() < 0.6 else 0 for _ in range(k)]
+            dense.append([sum(c * b[j] for c, b in zip(mix, base)) % p for j in range(m)])
+        rows = [
+            {j: v + p * gen.randint(-1, 1) for j, v in enumerate(row) if v or gen.random() < 0.1}
+            for row in dense
+        ]
+        snapshot = [dict(row) for row in rows]
+        fac = Factorization(rows, p, m)
+        state = tuple(getattr(fac, name) for name in Factorization.__slots__)
+        rhss = [[0] * n]
+        for _ in range(2):
+            x0 = [gen.randrange(p) for _ in range(m)]
+            rhss.append([sum(c * x for c, x in zip(row, x0)) + p * gen.randint(-1, 1) for row in dense])
+        for _ in range(3):
+            rhss.append([gen.randrange(-p, 2 * p) for _ in range(n)])
+        answers = []
+        for rhs in rhss:
+            before = list(rhs)
+            expected = _dense_gauss_jordan(dense, rhs, p) if n else [0] * m
+            got = fac.solve(rhs)
+            assert got == expected == gauss_solve(rows, rhs, p, m)
+            assert rhs == before
+            answers.append(got)
+            kinds["zero"] += not any(rhs)
+            kinds["feasible"] += got is not None and any(v % p for v in rhs)
+            kinds["infeasible"] += got is None
+        assert [fac.solve(rhs) for rhs in rhss] == answers
+        assert rows == snapshot
+        assert tuple(getattr(fac, name) for name in Factorization.__slots__) == state
+    assert all(count >= 100 for count in kinds.values()), kinds
+    # the empty system, and an empty row
+    assert Factorization([], 3, 2).solve([]) == [0, 0]
+    assert Factorization([], 5, 0).solve([]) == []
+    empty_row = Factorization([{}], 3, 2)
+    assert empty_row.solve([0]) == [0, 0] and empty_row.solve([1]) is None
+    with pytest.raises(ValueError):
+        empty_row.solve([])
 
 
 def test_wp_plus_d_examples(f2x):
@@ -232,13 +287,22 @@ def test_target_beyond_every_column_is_absent(f3xy):
 
 def test_denominator_outside_lp_is_absent_without_a_solve(monkeypatch):
     # with dens {1, x} every column's denominator divides D = x^p: x^4 and
-    # x + y divide no combination of columns, so nothing is eliminated
+    # x + y divide no combination of columns, so nothing is factored or solved
     import katoforms.oracle as oracle
 
-    calls = []
-    monkeypatch.setattr(
-        oracle, "gauss_solve", lambda *args: calls.append(args) or gauss_solve(*args)
-    )
+    calls = {"factor": 0, "solve": 0}
+
+    class Counted(Factorization):
+        def __init__(self, *args):
+            calls["factor"] += 1
+            super().__init__(*args)
+
+        def solve(self, rhs):
+            calls["solve"] += 1
+            return super().solve(rhs)
+
+    monkeypatch.setattr(oracle, "Factorization", Counted)
+    monkeypatch.setattr(oracle, "_SYSTEMS", weakref.WeakKeyDictionary())
     f3 = FunctionField.make(3, ["x"])
     x = f3.var(0)
     g = FunctionField.make(3, ["x", "y"])
@@ -253,7 +317,10 @@ def test_denominator_outside_lp_is_absent_without_a_solve(monkeypatch):
     ]:
         assert solve_wp_plus_d(omega, bounds) is None
         assert exhaustive_exactness(omega, bounds) is False
-    assert calls == []
+    assert calls == {"factor": 0, "solve": 0}
+    # the count sees the oracle's path: a target inside D is factored and solved
+    assert solve_wp_plus_d(DiffForm.scalar(f3, x.inv()), b1) is None
+    assert calls == {"factor": 1, "solve": 1}
 
 
 def test_denominator_inside_lp_not_l():

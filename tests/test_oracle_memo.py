@@ -142,6 +142,37 @@ def test_five_solves_build_one_system(monkeypatch):
     assert calls == built
 
 
+def test_one_factorization_per_degree_and_kind(monkeypatch):
+    # five targets on one bounds value, each solved and tested for exactness
+    # twice: one factorization per (form degree, with_wp), and no system
+    # keeps its rows
+    built = []
+
+    class Counted(oracle.Factorization):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "Factorization", Counted)
+    cases = _cases()
+    omega, key = cases[0]
+    bounds = SearchBounds(*key)
+    fld = omega.field
+    x, y = fld.var(0), fld.var(1)
+    targets = [omega, cases[1][0], cases[2][0], DiffForm.scalar(fld, x ** 3 - x + y),
+               DiffForm.from_coeffs(fld, 2, {(0, 1): y / x})]
+    for _ in range(2):
+        for target in targets:
+            solve_wp_plus_d(target, bounds)
+            exhaustive_exactness(target, bounds)
+    systems = oracle._SYSTEMS[bounds][fld].systems
+    assert sorted(systems) == [(0, True), (1, False), (1, True), (2, False), (2, True)]
+    assert len(built) == len(systems) and all(built)
+    for system in systems.values():
+        assert isinstance(system.factorization, Counted)
+        assert not hasattr(system, "rows") and not hasattr(system, "__dict__")
+
+
 def test_entry_goes_with_its_bounds():
     omega, key = _cases()[0]
     bounds = SearchBounds(*key)
