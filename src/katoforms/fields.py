@@ -10,6 +10,23 @@ of the field over its subfield of p-th powers.
 Canonical conventions: graded-lexicographic term order, monic denominators,
 zero represented as 0/1.  Values are immutable after construction, so every
 operation is pure.
+
+Every ``RatFunc`` is kept canonical: num/den in lowest terms, den monic.
+``ratfunc_normalize`` makes that form from any fraction by one gcd of the
+whole numerator and denominator.  Sum, product and ``scale`` instead rely on
+their operands being canonical and take gcds of denominators and cofactors
+only (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  For a/b + c/d:
+
+    b = 1 or d = 1:  (a d + c b)/(b d) as it stands, no gcd;
+    b = d:           one gcd of (a + c, b);
+    g = gcd(b, d):   g = 1 gives (a d + c b)/(b d) as it stands; otherwise
+                     t = a (d/g) + c (b/g), g2 = gcd(t, g), and the sum is
+                     (t/g2) / ((b/g)(d/g2)).
+
+A product cancels across only, gcd(a, d) and gcd(c, b), skipping a gcd over
+a denominator 1, and ``scale`` by a unit takes none.  The reduced form with
+a monic denominator is unique, so these give exactly what normalizing the
+schoolbook fraction gives.
 """
 
 from __future__ import annotations
@@ -144,6 +161,19 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
 
 
+def _power(base, n: int):
+    """base ** n for n >= 1 by square and multiply: no product by one, no
+    square past the top bit."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 class MultiPoly:
     """Sparse polynomial in F_p[x_1, ..., x_m]; no zero coefficients stored."""
 
@@ -233,14 +263,9 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = self.field.const_poly(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return self.field.const_poly(1)
+        return _power(self, n)
 
     def monic(self) -> "MultiPoly":
         if self.is_zero():
@@ -458,10 +483,30 @@ class RatFunc:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """Henrici's sum: gcds of the denominators and their cofactors only."""
         self._check(other)
-        return ratfunc_normalize(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        field = self.field
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # a denominator 1: gcd(a d + c, d) = gcd(c, d) = 1, and d is monic; a
+        # zero sum means c = -a d, so d = 1 and the sum is already 0/1
+        if b.is_const():
+            return RatFunc(field, (a if d.is_const() else a * d) + c, d)
+        if d.is_const():
+            return RatFunc(field, a + c * b, b)
+        if b == d:
+            return ratfunc_normalize(a + c, b)
+        g = poly_gcd(b, d)
+        if g.is_const():
+            # b, d coprime and not 1: a d + c b is nonzero and prime to b and d
+            return RatFunc(field, a * d + c * b, b * d)
+        bg = poly_exact_div(b, g)
+        # t is nonzero (else b/g divides a, so b | d, and likewise d | b) and
+        # prime to b/g and d/g, so gcd(t, g) is all that cancels
+        t = a * poly_exact_div(d, g) + c * bg
+        g2 = poly_gcd(t, g)
+        if g2.is_const():
+            return RatFunc(field, t, bg * d)
+        return RatFunc(field, poly_exact_div(t, g2), bg * poly_exact_div(d, g2))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(self.field, -self.num, self.den)
@@ -470,8 +515,21 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        """Cross-cancel: gcd(a, d) and gcd(c, b) only, none over a denominator 1."""
         self._check(other)
-        return ratfunc_normalize(self.num * other.num, self.den * other.den)
+        field = self.field
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return field.zero()
+        if not d.is_const():
+            g = poly_gcd(a, d)
+            if not g.is_const():
+                a, d = poly_exact_div(a, g), poly_exact_div(d, g)
+        if not b.is_const():
+            g = poly_gcd(c, b)
+            if not g.is_const():
+                c, b = poly_exact_div(c, g), poly_exact_div(b, g)
+        return RatFunc(field, a * c, b * d)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
@@ -485,23 +543,18 @@ class RatFunc:
         return ratfunc_normalize(self.den, self.num)
 
     def __pow__(self, n: int) -> "RatFunc":
-        """Square and multiply; no product by one, no square past the top bit."""
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
             return self.field.one()
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return _power(self, n)
 
     def scale(self, c: int) -> "RatFunc":
-        return ratfunc_normalize(self.num.scale(c), self.den)
+        """c times self; a unit c keeps the fraction reduced, so no gcd."""
+        num = self.num.scale(c)
+        if num.is_zero():
+            return self.field.zero()
+        return RatFunc(self.field, num, self.den)
 
     def frobenius_power(self) -> "RatFunc":
         """p-th power; exact because coefficients live in F_p."""

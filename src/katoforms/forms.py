@@ -204,7 +204,7 @@ def d(omega: DiffForm) -> DiffForm:
     n = omega.degree
     if n >= field.nvars:
         return DiffForm.zero(field, n + 1)
-    out = DiffForm.zero(field, n + 1)
+    out: dict = {}
     for idx, a in omega.coeffs.items():
         for i in range(field.nvars):
             da = partial(a, i)
@@ -213,9 +213,8 @@ def d(omega: DiffForm) -> DiffForm:
             merged, sign = _merge_sign((i,), idx)
             if merged is None:
                 continue
-            v = da if sign > 0 else -da
-            out = out + DiffForm(field, n + 1, {merged: v})
-    return out
+            accumulate(out, merged, da if sign > 0 else -da)
+    return DiffForm(field, n + 1, out)
 
 
 def dlog(a: RatFunc) -> DiffForm:

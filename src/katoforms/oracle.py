@@ -74,7 +74,7 @@ from .fields import (
     poly_exact_div,
     poly_gcd,
 )
-from .forms import DiffForm
+from .forms import DiffForm, accumulate
 from .kernels import Factorization
 
 
@@ -415,19 +415,13 @@ def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certifica
     columns, sol = _solve_columns(omega, bounds, with_wp=True)
     if sol is None:
         return None
-    u = DiffForm.zero(field, n)
-    eta = DiffForm.zero(field, n - 1)
+    u: dict = {}
+    eta: dict = {}
     for lam, (kind, idx, cand) in zip(sol, columns):
         if lam % field.p == 0:
             continue
-        piece_degree = n if kind == 0 else n - 1
-        fn = _candidate_value(field, cand, lam)
-        piece = DiffForm.from_coeffs(field, piece_degree, {idx: fn})
-        if kind == 0:
-            u = u + piece
-        else:
-            eta = eta + piece
-    cert = Certificate(u=u, eta=eta, field=field)
+        accumulate(u if kind == 0 else eta, idx, _candidate_value(field, cand, lam))
+    cert = Certificate(u=DiffForm(field, n, u), eta=DiffForm(field, n - 1, eta), field=field)
     if not verify_certificate(omega, DiffForm.zero(field, n), cert):
         raise CertificateFailed("oracle solution failed to verify")
     return cert

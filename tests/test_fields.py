@@ -15,6 +15,7 @@ from katoforms import (
     ratfunc_normalize,
     subfield_membership,
 )
+from katoforms import fields
 from katoforms.fields import random_poly, random_ratfunc
 
 
@@ -183,3 +184,62 @@ def test_fields_made_apart_interoperate():
             with pytest.raises(FieldMismatch):
                 op()
         assert x != u and x.num != u.num
+
+
+def test_arithmetic_takes_gcds_of_denominators_only(f3xy, monkeypatch):
+    """Henrici's sum and the cross-cancelled product: no gcd over a
+    denominator 1 or in ``scale``, one for coprime or equal denominators.
+    Only the outermost ``poly_gcd`` calls are counted, not its recursion."""
+    x, y = f3xy.var(0), f3xy.var(1)
+    p, q = x * x + y, x * y + f3xy.one()
+    f = ratfunc_normalize(x.num, (x + f3xy.one()).num)
+    g = ratfunc_normalize(y.num, (y + f3xy.const(2)).num)
+    b = (x + y).num
+    h, k = ratfunc_normalize(x.num, b), ratfunc_normalize((y * y).num, b)
+    cases = [
+        (lambda: p + q, ratfunc_normalize((p + q).num, f3xy.const_poly(1)), 0),
+        (lambda: p * q, ratfunc_normalize((p * q).num, f3xy.const_poly(1)), 0),
+        (lambda: f.scale(2), ratfunc_normalize(f.num.scale(2), f.den), 0),
+        (lambda: f + g, ratfunc_normalize(
+            f.num * g.den + g.num * f.den, f.den * g.den), 1),
+        (lambda: h + k, ratfunc_normalize(h.num + k.num, b), 1),
+    ]
+    inner = fields.poly_gcd
+    depth = [0]
+    calls = []
+
+    def counting(u, v):
+        if not depth[0]:
+            calls.append((u, v))
+        depth[0] += 1
+        try:
+            return inner(u, v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fields, "poly_gcd", counting)
+    for op, expected, gcds in cases:
+        calls.clear()
+        assert op() == expected
+        assert len(calls) == gcds
+
+
+def test_polynomial_power_multiplies_no_one(f3xy, monkeypatch):
+    """Square and multiply from the base: no product by one, no square past
+    the top bit, so f ** 1 is f and f ** 5 takes three products."""
+    f = (f3xy.var(0) + f3xy.var(1) + f3xy.one()).num
+    expected = [f3xy.const_poly(1)]
+    for _ in range(5):
+        expected.append(expected[-1] * f)
+    inner = fields.poly_mul
+    calls = []
+
+    def counting(a, b, p):
+        calls.append(1)
+        return inner(a, b, p)
+
+    monkeypatch.setattr(fields, "poly_mul", counting)
+    for n, products in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)]:
+        calls.clear()
+        assert f ** n == expected[n]
+        assert len(calls) == products
