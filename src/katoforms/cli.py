@@ -64,6 +64,7 @@ from .generators import (
     GeneratorSpec,
     KIND_LINEAR,
     KIND_POWER,
+    Level,
     kernel_generators,
     make_instance,
     unit_vector,
@@ -92,12 +93,6 @@ class JobSpec:
     command: str
     options: dict
     seed: int = DEFAULT_SEED
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "options": self.options, "seed": self.seed},
-            sort_keys=True,
-        )
 
 
 def _read_arg(value: str) -> str:
@@ -157,6 +152,15 @@ def _pattern_doc(g) -> dict:
     if g.kind == KIND_LINEAR:
         return {"kind": g.kind, "j": g.j}
     return {"kind": g.kind, "t": g.t, "k": list(g.k)}
+
+
+def _level_option(options: dict, r: int, linear: bool) -> Level:
+    """The level picked by --j, (0, e_j), when linear, else by --t and --k."""
+    if linear:
+        return 0, unit_vector(r, int(options["j"]))
+    if options.get("t") is None:
+        raise KatoformsError("give either --j or --t/--k to pick the generator")
+    return int(options["t"]), tuple(int(c) for c in options["k"].split(","))
 
 
 def _parse_bounds(options: dict, fld: FunctionField) -> SearchBounds:
@@ -279,11 +283,11 @@ def _cmd_vanish_cert(options: dict, seed: int) -> tuple[int, dict]:
     pairs = _adapted_pairs(ext, "vanishing certificates need")
     n = int(options["n"])
     inst = _load_form(options["inst"], ext.source)
-    if options.get("kind", KIND_POWER) == KIND_LINEAR:
-        spec = GeneratorSpec(KIND_LINEAR, pairs, n, j=int(options["j"]))
-    else:
-        k = tuple(int(c) for c in options["k"].split(","))
-        spec = GeneratorSpec(KIND_POWER, pairs, n, t=int(options["t"]), k=k)
+    kind = options.get("kind", KIND_POWER)
+    level = _level_option(options, len(pairs), kind == KIND_LINEAR)
+    spec = GeneratorSpec(pairs, n, level)
+    if spec.kind != kind:
+        raise KatoformsError(f"level {level} is not of --kind {kind}")
     g = make_instance(spec, inst)
     cert = vanish_certificate(g, ext)
     return 0, {
@@ -321,12 +325,7 @@ def _cmd_check_hyperbolic(options: dict, seed: int) -> tuple[int, dict]:
     fld = ext.source
     s = sexpr.parse_form_text(_read_arg(options["s"]), fld).scalar_value()
     candidates = quad_kernel_generators(pairs, [s])
-    if options.get("j") is not None:
-        level = (0, unit_vector(len(pairs), int(options["j"])))
-    elif options.get("t") is not None:
-        level = (int(options["t"]), tuple(int(c) for c in options["k"].split(",")))
-    else:
-        raise KatoformsError("give either --j or --t/--k to pick the generator")
+    level = _level_option(options, len(pairs), options.get("j") is not None)
     wanted = [g for g in candidates if g.level == level]
     if not wanted:
         raise KatoformsError("no generator matches the requested pattern")
@@ -544,6 +543,9 @@ def _cmd_selftest(options: dict, seed: int) -> tuple[int, dict]:
     wanted = None
     if options.get("sections"):
         wanted = {s.strip() for s in options["sections"].split(",") if s.strip()}
+        unknown = sorted(wanted - _SELFTEST_SECTIONS.keys())
+        if unknown:
+            raise KatoformsError(f"unknown selftest sections: {', '.join(unknown)}")
     rows = []
     failed = False
     for name, fn in _SELFTEST_SECTIONS.items():
@@ -798,8 +800,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     code, report = run(job)
     text = json.dumps(report, indent=2, sort_keys=True)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _input_error(f"cannot write the report to --out: {exc}")
     else:
         print(text)
     return code

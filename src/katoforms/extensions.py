@@ -8,7 +8,8 @@ target variable is purely inseparable over the image of F; no membership
 search is ever performed.
 
 The adapted case (distinguished source variables x_i mapped to z_i^(p^m_i),
-all others fixed) is the one for which syntactic kernel tests are available:
+all others fixed, a shape checked against the images at construction time)
+is the one for which syntactic kernel tests are available:
 a form restricts to zero exactly when every stored index tuple meets the
 distinguished set, and the kernel of the restriction on log-fixed forms and
 on square classes is read off the Frobenius support.
@@ -109,6 +110,26 @@ def _verify_certs(
             )
 
 
+def _verify_adapted(
+    source: FunctionField,
+    target: FunctionField,
+    images: tuple[RatFunc, ...],
+    adapted: AdaptedData,
+) -> None:
+    """The adapted shape: x_i -> z_i^(p^m_i) on distinguished i, z_i elsewhere."""
+    if target.nvars != source.nvars:
+        raise CertificateFailed("adapted data needs one target variable per source one")
+    for i in adapted.indices:
+        if not 0 <= i < source.nvars:
+            raise CertificateFailed(f"adapted variable index {i} out of range")
+    for i, img in enumerate(images):
+        m = adapted.exponent_of(i) or 0
+        if img != target.var(i) ** (source.p**m):
+            raise CertificateFailed(
+                f"image of {source.vars[i]} does not match the adapted data"
+            )
+
+
 def build_embedding(
     source: FunctionField,
     target: FunctionField,
@@ -116,10 +137,12 @@ def build_embedding(
     insep_certs: tuple[InsepCert, ...],
     adapted: Optional[AdaptedData] = None,
 ) -> ExtensionSpec:
-    """Validate all certificate identities and return the extension."""
+    """Validate the certificate identities and any adapted data; return the extension."""
     if source.p != target.p:
         raise CertificateFailed("characteristic mismatch")
     _verify_certs(source, target, images, insep_certs)
+    if adapted is not None:
+        _verify_adapted(source, target, images, adapted)
     exponent = max((c.n for c in insep_certs), default=0)
     return ExtensionSpec(source, target, images, insep_certs, exponent, adapted)
 

@@ -83,9 +83,6 @@ class PBasis:
     def index(self, name: str) -> int:
         return self.vars.index(name)
 
-    def __len__(self) -> int:
-        return len(self.vars)
-
 
 class FunctionField(NamedTuple):
     """The rational function field F_p(x_1, ..., x_m) with its fixed p-basis.

@@ -28,7 +28,7 @@ checks them against the independent bounded search in ``oracle``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegreeMismatch, FieldMismatch, NotClosed, NotExact
 from .fields import (
@@ -163,14 +163,6 @@ class DiffForm:
         out = {}
         for idx, a in self.coeffs.items():
             v = a * c
-            if not v.is_zero():
-                out[idx] = v
-        return DiffForm(self.field, self.degree, out)
-
-    def map_coeffs(self, fn: Callable[[RatFunc], RatFunc]) -> "DiffForm":
-        out = {}
-        for idx, a in self.coeffs.items():
-            v = fn(a)
             if not v.is_zero():
                 out[idx] = v
         return DiffForm(self.field, self.degree, out)

@@ -10,10 +10,10 @@ by the instances of one pattern at the admissible levels (t, k):
 * power levels 1 <= t <= e-1, 0 <= k(i) < p^t, max(1, p^(t - m_i + 1))
   dividing k(i): the power family;
 
-with e = max m_i.  A spec keeps the fields that name its family (``kind``
-with the slot ``j``, or ``t`` and ``k``) and every computation reads the
-level through ``level``, so one formula covers both families.  This module
-enumerates instances over a user-supplied list of instantiating forms,
+with e = max m_i.  A generator record keeps its pattern as one value, the
+level (t, k), so one formula covers both families; the family names ``kind``
+with the slot ``j``, or ``t`` and ``k``, are read-only views of it.  This
+module enumerates instances over a user-supplied list of instantiating forms,
 constructs the explicit witness that every instance restricts to a
 congruence-trivial form over the extension (the implementable inclusion),
 produces the logarithmic-shaped variant of the same system, and rewrites
@@ -64,42 +64,45 @@ def _with(seq: Sequence, i: int, item) -> tuple:
     return tuple(item if l == i else x for l, x in enumerate(seq))
 
 
-def pattern_fields(t: int, k: Sequence[int]) -> dict:
-    """The fields naming level (t, k): slot j for level 0 (k = e_j), else t and k."""
-    k = tuple(k)
-    if t == 0:
-        if sorted(k) != [0] * (len(k) - 1) + [1]:
-            raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
-        return {"kind": KIND_LINEAR, "j": k.index(1), "t": None, "k": None}
-    return {"kind": KIND_POWER, "j": None, "t": t, "k": k}
-
-
 class Pattern:
-    """The family fields (kind, j, t, k) of a generator, read as one level."""
+    """The level (t, k) of a generator read in the names of its family.
+
+    Level (0, e_j) is the linear slot: kind "linear" with j, and t = k = None.
+    Any other level is a power pattern: kind "power" with t and k, and
+    j = None.
+    """
+
+    level: Level
 
     @property
-    def level(self) -> Level:
-        """(t, k) of the pattern; the linear slot j is level (0, e_j)."""
-        if self.kind == KIND_LINEAR:
-            return 0, unit_vector(len(self.pairs), self.j)
-        return self.t, self.k
+    def kind(self) -> str:
+        return KIND_LINEAR if self.level[0] == 0 else KIND_POWER
+
+    @property
+    def j(self) -> Optional[int]:
+        return self.level[1].index(1) if self.level[0] == 0 else None
+
+    @property
+    def t(self) -> Optional[int]:
+        return self.level[0] or None
+
+    @property
+    def k(self) -> Optional[tuple[int, ...]]:
+        return None if self.level[0] == 0 else self.level[1]
 
 
 @dataclass(frozen=True)
 class GeneratorSpec(Pattern):
     """One admissible pattern of the generator system.
 
-    pairs is the full system data ((b_i, m_i), ...); linear patterns carry
-    the slot index j, power patterns carry the level t and exponent vector k
-    subject to the range and divisibility constraints.
+    pairs is the full system data ((b_i, m_i), ...) and level the pattern
+    (t, k): level 0 needs a unit vector k = e_j, a level t >= 1 the range and
+    divisibility constraints.
     """
 
-    kind: str
     pairs: tuple[tuple[RatFunc, int], ...]
     n: int
-    j: Optional[int] = None
-    t: Optional[int] = None
-    k: Optional[tuple[int, ...]] = None
+    level: Level
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -110,34 +113,25 @@ class GeneratorSpec(Pattern):
             raise ValueError("all exponents m_i must be >= 1")
         if self.n < 1:
             raise ValueError("generators exist in degree >= 1 only")
-        p = self.pairs[0][0].field.p
-        if self.kind == KIND_LINEAR:
-            if self.j is None or not 0 <= self.j < len(self.pairs):
-                raise ValueError("linear pattern needs a valid slot index")
-        elif self.kind == KIND_POWER:
-            if self.t is None or self.k is None:
-                raise ValueError("power pattern needs t and k")
-            e = max(m for _, m in self.pairs)
-            if not 1 <= self.t <= e - 1:
-                raise BadExponent(f"level t={self.t} outside 1..{e - 1}")
-            if len(self.k) != len(self.pairs):
-                raise BadExponent("exponent vector length mismatch")
-            for ki, (_, mi) in zip(self.k, self.pairs):
-                if not 0 <= ki < p**self.t:
-                    raise BadExponent(f"exponent {ki} outside [0, p^t)")
-                if ki % pattern_divisor(p, self.t, mi):
-                    raise BadExponent(
-                        f"exponent {ki} violates divisibility for m={mi}, t={self.t}"
-                    )
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    @staticmethod
-    def at_level(
-        pairs: Sequence[tuple[RatFunc, int]], n: int, t: int, k: Sequence[int]
-    ) -> "GeneratorSpec":
-        """The spec of level (t, k): linear for t = 0, power otherwise."""
-        return GeneratorSpec(pairs=tuple(pairs), n=n, **pattern_fields(t, k))
+        t, k = self.level[0], tuple(self.level[1])
+        object.__setattr__(self, "level", (t, k))
+        if len(k) != len(self.pairs):
+            raise BadExponent("exponent vector length mismatch")
+        if t == 0:
+            if sorted(k) != [0] * (len(k) - 1) + [1]:
+                raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
+            return
+        p = self.field.p
+        e = max(m for _, m in self.pairs)
+        if not 1 <= t <= e - 1:
+            raise BadExponent(f"level t={t} outside 1..{e - 1}")
+        for ki, (_, mi) in zip(k, self.pairs):
+            if not 0 <= ki < p**t:
+                raise BadExponent(f"exponent {ki} outside [0, p^t)")
+            if ki % pattern_divisor(p, t, mi):
+                raise BadExponent(
+                    f"exponent {ki} violates divisibility for m={mi}, t={t}"
+                )
 
     @property
     def field(self) -> FunctionField:
@@ -151,7 +145,11 @@ class GeneratorInstance:
     spec: GeneratorSpec
     inst: DiffForm
     value: DiffForm
-    trivial: bool = False
+
+    @property
+    def trivial(self) -> bool:
+        """An all-zero exponent vector: the pattern is a plain power of d(v)."""
+        return not any(self.spec.level[1])
 
 
 def pattern_value(
@@ -161,26 +159,12 @@ def pattern_value(
     return sp_iter(d(inst), t).scale(monomial(inst.field, bs, k))
 
 
-def _instance(
-    pairs: tuple[tuple[RatFunc, int], ...],
-    n: int,
-    level: Level,
-    inst: DiffForm,
-    value: DiffForm,
-) -> GeneratorInstance:
-    """Instance at the given level; an all-zero exponent vector is trivial."""
-    t, k = level
-    spec = GeneratorSpec.at_level(pairs, n, t, k)
-    return GeneratorInstance(spec, inst, value, trivial=not any(k))
-
-
 def make_instance(spec: GeneratorSpec, inst: DiffForm) -> GeneratorInstance:
     """Instance value (prod b^k)(d v)^[p^t] at the spec's level."""
     if inst.degree != spec.n - 1:
         raise BadExponent(f"instantiating form must have degree {spec.n - 1}")
-    t, k = spec.level
-    value = pattern_value([b for b, _ in spec.pairs], t, k, inst)
-    return GeneratorInstance(spec=spec, inst=inst, value=value, trivial=not any(k))
+    value = pattern_value([b for b, _ in spec.pairs], *spec.level, inst)
+    return GeneratorInstance(spec, inst, value)
 
 
 def power_patterns(
@@ -221,9 +205,9 @@ def kernel_generators(
     pairs = tuple(pairs)
     levels = generator_levels(pairs, field.p)
     return [
-        make_instance(GeneratorSpec.at_level(pairs, n, t, k), inst)
+        make_instance(GeneratorSpec(pairs, n, level), inst)
         for inst in insts
-        for t, k in levels
+        for level in levels
     ]
 
 
@@ -294,13 +278,10 @@ class LogGenerator(Pattern):
     ``check_shape``.
     """
 
-    kind: str
     pairs: tuple[tuple[RatFunc, int], ...]
     s: RatFunc
     tail: tuple[RatFunc, ...]
-    j: Optional[int]
-    t: Optional[int]
-    k: Optional[tuple[int, ...]]
+    level: Level
     head: DiffForm
     value: DiffForm
     trivial: bool
@@ -354,10 +335,7 @@ def log_kernel_generators(
                 head = ds.scale(monomial(field, bs, k) * s ** (field.p**t - 1))
                 value = wedge(head, tail_form)
                 out.append(
-                    LogGenerator(
-                        pairs=pairs, s=s, tail=tail, head=head, value=value,
-                        trivial=value.is_zero(), **pattern_fields(t, k),
-                    )
+                    LogGenerator(pairs, s, tail, (t, k), head, value, value.is_zero())
                 )
     # check_shape of every generator, its tail half once per distinct tail
     log_tails: dict = {}
@@ -405,11 +383,11 @@ def _linear_instances(
         level = (0, unit_vector(len(pairs), i))
         value = pattern_value(bs, *level, w)
         if not value.is_zero():
-            out.append(_instance(pairs, n, level, w, value))
+            out.append(GeneratorInstance(GeneratorSpec(pairs, n, level), w, value))
     return out
 
 
-def _instances_from_reduction(
+def _reduction_instances(
     pairs: tuple[tuple[RatFunc, int], ...], n: int, red: ReductionResult
 ) -> list[GeneratorInstance]:
     field = pairs[0][0].field
@@ -420,7 +398,8 @@ def _instances_from_reduction(
             continue
         pj = field.p**jlev
         k = tuple(ki % pj for ki in red.ks)
-        out.append(_instance(pairs, n, (jlev, k), w, red.level_value(jlev)))
+        spec = GeneratorSpec(pairs, n, (jlev, k))
+        out.append(GeneratorInstance(spec, w, red.level_value(jlev)))
     return out + _linear_instances(pairs, n, red.linear_parts)
 
 
@@ -446,20 +425,21 @@ def rebase_generator(
         if sorted(sigma) != list(range(len(spec.pairs))):
             raise BadExponent("not a permutation")
         new_pairs = tuple(spec.pairs[s] for s in sigma)
-        new_k = tuple(k[s] for s in sigma)
-        return [_instance(new_pairs, n, (t, new_k), g.inst, g.value)], zero_cert
+        rebased = GeneratorSpec(new_pairs, n, (t, tuple(k[s] for s in sigma)))
+        return [GeneratorInstance(rebased, g.inst, g.value)], zero_cert
     if kind_move == "promote":
         i = move[1]
         b, m = spec.pairs[i]
         new_pairs = _with(spec.pairs, i, (b**p, m + 1))
         if k[i] % p == 0:
-            new_k = _with(k, i, k[i] // p)
-            return [_instance(new_pairs, n, (t, new_k), g.inst, g.value)], zero_cert
+            rebased = GeneratorSpec(new_pairs, n, (t, _with(k, i, k[i] // p)))
+            return [GeneratorInstance(rebased, g.inst, g.value)], zero_cert
         # p does not divide k_i (k_i = 1 for b_i d(z)): raise the whole
         # instance one power level
         rhs, cert = power_certificate(g.value, 1)
         new_k = _with([p * ki for ki in k], i, k[i])
-        return [_instance(new_pairs, n, (t + 1, new_k), g.inst, rhs)], -cert
+        rebased = GeneratorSpec(new_pairs, n, (t + 1, new_k))
+        return [GeneratorInstance(rebased, g.inst, rhs)], -cert
     if kind_move == "demote":
         i = move[1]
         b, m = spec.pairs[i]
@@ -496,7 +476,7 @@ def rebase_generator(
             return _linear_instances(new_pairs, n, zip(pos, parts)), total_cert
         red = exponent_reduction(bs_new, k_new, t, g.inst)
         total_cert = total_cert + red.certificate
-        return _instances_from_reduction(new_pairs, n, red), total_cert
+        return _reduction_instances(new_pairs, n, red), total_cert
     raise ValueError(f"unknown move {kind_move!r}")
 
 
@@ -518,4 +498,5 @@ def pattern_lowering_certificate(
     raised, cert = power_certificate(lower_value, 1)
     if raised != g.value:
         raise CertificateFailed("lowered pattern does not raise back to the input")
-    return _instance(spec.pairs, spec.n, (t - 1, new_k), g.inst, lower_value), cert
+    lower = GeneratorSpec(spec.pairs, spec.n, (t - 1, new_k))
+    return GeneratorInstance(lower, g.inst, lower_value), cert

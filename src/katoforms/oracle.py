@@ -98,10 +98,6 @@ class SearchBounds:
             raise ValueError(f"degree bound {self.max_degree} is negative")
         object.__setattr__(self, "denominators", tuple(self.denominators))
 
-    def describe(self) -> str:
-        dens = ", ".join(repr(dn) for dn in self.denominators) or "1"
-        return f"numerator total degree <= {self.max_degree}, denominators {{{dens}}}"
-
     def candidate_terms(self, field: FunctionField) -> list[Candidate]:
         """Every mono/den in lowest terms, once, in (den, graded-lex) order,
         as (numerator exponent, numerator coefficient, reduced denominator).

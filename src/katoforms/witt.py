@@ -34,7 +34,7 @@ from .errors import (
 from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, dlog_wedge
-from .generators import Pattern, adapted_slots, generator_levels, pattern_fields
+from .generators import Level, Pattern, adapted_slots, generator_levels
 
 Matrix = list  # list of list of RatFunc
 
@@ -225,9 +225,6 @@ class BilForm:
         mv = _mat_vec(self.matrix, v, self.field)
         return sum((ui * wi for ui, wi in zip(u, mv)), self.field.zero())
 
-    def is_nondegenerate(self) -> bool:
-        return not _mat_det(self.matrix, self.field).is_zero()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BilForm)
@@ -400,14 +397,11 @@ def hyperbolic_lagrangian(q: QuadForm) -> LagrangianCert:
 
 @dataclass(frozen=True)
 class WittGenerator(Pattern):
-    """One quadratic kernel generator << s, tail ]] with its pattern data."""
+    """One quadratic kernel generator << s, tail ]] at its level (t, k)."""
 
-    kind: str
     pairs: tuple[tuple[RatFunc, int], ...]
     s: RatFunc
-    j: Optional[int]
-    t: Optional[int]
-    k: Optional[tuple[int, ...]]
+    level: Level
     tail: RatFunc
     form: QuadForm
 
@@ -433,9 +427,7 @@ def quad_kernel_generators(
         for t, k in levels:
             tail = s ** (2**t) * monomial(field, bs, k)
             form = pfister_quad(PfisterSymbol((s,), tail))
-            out.append(WittGenerator(
-                pairs=pairs, s=s, tail=tail, form=form, **pattern_fields(t, k)
-            ))
+            out.append(WittGenerator(pairs, s, (t, k), tail, form))
     return out
 
 

@@ -43,7 +43,7 @@ from katoforms.certificates import monomial
 from katoforms.extensions import square_class_kernel_oracle
 from katoforms.fields import random_ratfunc
 from katoforms.forms import random_form_rng
-from katoforms.generators import KIND_LINEAR, KIND_POWER, power_patterns
+from katoforms.generators import KIND_LINEAR, power_patterns, unit_vector
 from katoforms.oracle import artin_schreier_search
 from katoforms.witt import (
     PfisterSymbol,
@@ -137,9 +137,9 @@ def test_criterion_3_certificate_suite():
                 pats = power_patterns(pairs, p)
                 if pats and rng.random() < 0.7:
                     tt, kk = rng.choice(pats)
-                    spec = GeneratorSpec(KIND_POWER, pairs, v1.degree + 1, t=tt, k=kk)
+                    spec = GeneratorSpec(pairs, v1.degree + 1, (tt, kk))
                 else:
-                    spec = GeneratorSpec(KIND_LINEAR, pairs, v1.degree + 1, j=rng.randrange(r))
+                    spec = GeneratorSpec(pairs, v1.degree + 1, (0, unit_vector(r, rng.randrange(r))))
                 g = make_instance(spec, v1)
                 moves = [("permute", tuple(reversed(range(r)))), ("promote", rng.randrange(r))]
                 i_dem = rng.randrange(r)

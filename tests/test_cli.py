@@ -161,6 +161,37 @@ def test_generator_enumeration_and_vanish(ext_file):
     assert code3 == 1 and report3["result"]["verified"] is False
 
 
+def test_vanish_cert_reads_the_level_of_its_kind(ext_file):
+    # --kind linear reads --j and --kind power reads --t/--k; level (0, e_j) is
+    # the linear slot, so it is no power pattern
+    code, report = _run("vanish-cert", ext=ext_file, n=1, inst="y", kind="linear", j=1)
+    assert code == 0 and report["result"]["verified"] is True
+    code, report = _run(
+        "vanish-cert", ext=ext_file, n=1, inst="y", kind="power", t=0, k="0,1"
+    )
+    assert code == 3 and "error" in report
+
+
+@pytest.mark.parametrize(
+    "adapted",
+    [[[7, 2]], [[0, 1]], [[0, 2]]],
+    ids=["index-out-of-range", "wrong-exponent", "power-image-undistinguished"],
+)
+def test_adapted_data_must_match_the_images(tmp_path, ext_file, adapted):
+    # the spec maps x -> u^4 and y -> v^2; its adapted data must say so
+    doc = json.loads(open(ext_file).read())
+    doc["adapted"] = adapted
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    for command, options in (
+        ("validate-ext", {}),
+        ("kf-gens", {"n": 1, "inst": "y"}),
+        ("restrict", {"form": "dy"}),
+    ):
+        code, report = _run(command, ext=str(path), **options)
+        assert code == 3 and "adapted" in report["error"]
+
+
 def test_witt_commands(ext_file):
     code, report = _run("witt-gens", field="F2(x,y)", data="x:2", s="y,x+y,1")
     assert code == 0
@@ -222,6 +253,12 @@ def test_selftest_sections():
     assert statuses["forms"] == "skipped"
 
 
+def test_selftest_unknown_sections_are_exit_3():
+    code, report = _run("selftest", sections="fields,bogus,nope")
+    assert code == 3
+    assert "bogus" in report["error"] and "nope" in report["error"]
+
+
 @pytest.mark.parametrize("error", [AssertionError, NotClosed])
 def test_selftest_names_corrupted_section(monkeypatch, error):
     from katoforms import cli as cli_mod
@@ -272,6 +309,14 @@ def test_main_out_file(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["command"] == "cartier"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_exit_3(tmp_path, capsys, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+    code = main(["cartier", "--form", "x dx", "--field", "F2(x)", "--out", str(out)])
+    assert code == 3
+    assert "--out" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_validate_ext_roundtrip(ext_file):

@@ -21,7 +21,6 @@ from katoforms import (
     wedge,
 )
 from katoforms.forms import random_form_rng
-from katoforms.generators import KIND_POWER
 from katoforms.witt import hyperbolicity_certificate, quad_kernel_generators
 
 
@@ -79,7 +78,7 @@ def test_rebase_round_trip_class():
         x = fld.var(0)
         for m, t, k in [(2, 1, (1,)), (3, 2, (p,))]:
             v = random_form_rng(fld, 0, 2, 2, rng)
-            g = make_instance(GeneratorSpec(KIND_POWER, ((x, m),), 1, t=t, k=k), v)
+            g = make_instance(GeneratorSpec(((x, m),), 1, (t, k)), v)
             up, cert_up = rebase_generator(g, ("promote", 0))
             assert len(up) == 1
             down, cert_down = rebase_generator(up[0], ("demote", 0))

@@ -30,7 +30,13 @@ from katoforms import (
     wedge,
 )
 from katoforms import generators
-from katoforms.generators import KIND_LINEAR, KIND_POWER, pattern_divisor
+from katoforms.generators import (
+    KIND_LINEAR,
+    KIND_POWER,
+    generator_levels,
+    pattern_divisor,
+    unit_vector,
+)
 from katoforms.forms import random_form_rng
 from katoforms.sexpr import print_certificate, print_form, print_quadform, print_ratfunc
 from katoforms.witt import hyperbolicity_certificate, quad_kernel_generators
@@ -53,15 +59,15 @@ def test_pattern_enumeration_examples(f2xy, f3xy):
 def test_pattern_constraints_validated(f2xy):
     x = f2xy.var(0)
     with pytest.raises(BadExponent):
-        GeneratorSpec(KIND_POWER, ((x, 2),), 1, t=2, k=(1,))  # t > e-1
+        GeneratorSpec(((x, 2),), 1, (2, (1,)))  # t > e-1
     with pytest.raises(BadExponent):
-        GeneratorSpec(KIND_POWER, ((x, 2),), 1, t=1, k=(2,))  # k >= p^t
+        GeneratorSpec(((x, 2),), 1, (1, (2,)))  # k >= p^t
     with pytest.raises(BadExponent):
-        GeneratorSpec(KIND_POWER, ((x, 1), (f2xy.var(1), 2)), 1, t=1, k=(1, 0))
+        GeneratorSpec(((x, 1), (f2xy.var(1), 2)), 1, (1, (1, 0)))
     with pytest.raises(ValueError):
-        GeneratorSpec(KIND_LINEAR, ((f2xy.zero(), 1),), 1, j=0)
+        GeneratorSpec(((f2xy.zero(), 1),), 1, (0, (1,)))
     with pytest.raises(ValueError):
-        GeneratorSpec(KIND_LINEAR, ((x, 0),), 1, j=0)
+        GeneratorSpec(((x, 0),), 1, (0, (1,)))
 
 
 def test_divisor_formula():
@@ -118,7 +124,7 @@ def test_vanish_certificate_zero_instance(f2xy):
     x = f2xy.var(0)
     ext = build_adapted(f2xy, AdaptedData(((0, 2),)))
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x, 2),), 1, t=1, k=(1,)),
+        GeneratorSpec(((x, 2),), 1, (1, (1,))),
         DiffForm.scalar(f2xy, f2xy.one()),
     )
     assert g.value.is_zero()
@@ -130,14 +136,14 @@ def test_vanish_certificate_needs_matching_extension(f2xy):
     x = f2xy.var(0)
     ext = build_adapted(f2xy, AdaptedData(((0, 1),)))  # m mismatch below
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x, 2),), 1, t=1, k=(1,)),
+        GeneratorSpec(((x, 2),), 1, (1, (1,))),
         DiffForm.scalar(f2xy, f2xy.var(1)),
     )
     with pytest.raises(UnsupportedExtension):
         vanish_certificate(g, ext)
     # non-variable data is rejected as well
     g2 = make_instance(
-        GeneratorSpec(KIND_LINEAR, ((x * x, 1),), 1, j=0),
+        GeneratorSpec(((x * x, 1),), 1, (0, (1,))),
         DiffForm.scalar(f2xy, f2xy.var(1)),
     )
     with pytest.raises(UnsupportedExtension):
@@ -195,7 +201,8 @@ def test_log_generators_check_each_tail_once(f2xy, monkeypatch):
 def test_rebase_permutation(f2xyz):
     x, y, z = (f2xyz.var(i) for i in range(3))
     pairs = ((x, 1), (y, 2))
-    g = make_instance(GeneratorSpec(KIND_LINEAR, pairs, 1, j=0), DiffForm.scalar(f2xyz, z))
+    spec = GeneratorSpec(pairs, 1, (0, unit_vector(len(pairs), 0)))
+    g = make_instance(spec, DiffForm.scalar(f2xyz, z))
     out, cert = rebase_generator(g, ("permute", (1, 0)))
     assert len(out) == 1
     assert out[0].spec.pairs == ((y, 2), (x, 1))
@@ -208,7 +215,7 @@ def test_rebase_promote_linear_example(f2xyz):
     # b d(z) over (b, m) becomes b^p (dz)^[p] over (b^p, m+1)
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_LINEAR, ((x, 1),), 1, j=0), DiffForm.scalar(f2xyz, z)
+        GeneratorSpec(((x, 1),), 1, (0, (1,))), DiffForm.scalar(f2xyz, z)
     )
     out, cert = rebase_generator(g, ("promote", 0))
     assert len(out) == 1
@@ -221,7 +228,7 @@ def test_rebase_demote_linear_is_exact(f2xyz):
     # b^p d(v) over (b^p, m+1) is exact: eta = b^p v, empty generator sum
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_LINEAR, ((x * x, 2),), 1, j=0), DiffForm.scalar(f2xyz, z)
+        GeneratorSpec(((x * x, 2),), 1, (0, (1,))), DiffForm.scalar(f2xyz, z)
     )
     out, cert = rebase_generator(g, ("demote", 0))
     assert out == []
@@ -235,7 +242,7 @@ def test_rebase_drops_zero_linear_parts(f2xyz):
     # leaves no generator, as for every other part of a rebased sum
     x, y, z = (f2xyz.var(i) for i in range(3))
     pairs = ((x * x, 2), (y, 1))
-    spec = GeneratorSpec(KIND_LINEAR, pairs, 1, j=1)
+    spec = GeneratorSpec(pairs, 1, (0, unit_vector(len(pairs), 1)))
     g = make_instance(spec, DiffForm.scalar(f2xyz, z))
     out, cert = rebase_generator(g, ("demote", 0))
     assert [(o.spec.j, o.value) for o in out] == [(1, g.value)]
@@ -250,7 +257,7 @@ def test_rebase_drops_zero_linear_parts(f2xyz):
 def test_rebase_promote_power_divisible(f2xyz):
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x, 3),), 1, t=2, k=(2,)), DiffForm.scalar(f2xyz, z)
+        GeneratorSpec(((x, 3),), 1, (2, (2,))), DiffForm.scalar(f2xyz, z)
     )
     out, cert = rebase_generator(g, ("promote", 0))
     assert len(out) == 1
@@ -262,7 +269,7 @@ def test_rebase_promote_power_divisible(f2xyz):
 def test_rebase_promote_power_coprime_raises_level(f2xyz):
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x, 3),), 1, t=2, k=(1,)), DiffForm.scalar(f2xyz, z)
+        GeneratorSpec(((x, 3),), 1, (2, (1,))), DiffForm.scalar(f2xyz, z)
     )
     out, cert = rebase_generator(g, ("promote", 0))
     assert out[0].spec.t == 3 and out[0].spec.k == (1,)
@@ -272,7 +279,7 @@ def test_rebase_promote_power_coprime_raises_level(f2xyz):
 def test_rebase_demote_power_with_level_drop(f2xyz):
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x * x, 2),), 1, t=1, k=(1,)),
+        GeneratorSpec(((x * x, 2),), 1, (1, (1,))),
         DiffForm.scalar(f2xyz, z),
     )
     out, cert = rebase_generator(g, ("demote", 0))
@@ -301,9 +308,9 @@ def test_rebase_random_instances(rng):
             pats = power_patterns(pairs, p)
             if pats and rng.random() < 0.7:
                 t, k = rng.choice(pats)
-                spec = GeneratorSpec(KIND_POWER, pairs, n, t=t, k=k)
+                spec = GeneratorSpec(pairs, n, (t, k))
             else:
-                spec = GeneratorSpec(KIND_LINEAR, pairs, n, j=rng.randrange(r))
+                spec = GeneratorSpec(pairs, n, (0, unit_vector(r, rng.randrange(r))))
             g = make_instance(spec, v)
             moves = [("permute", tuple(reversed(range(r)))), ("promote", rng.randrange(r))]
             i_dem = rng.randrange(r)
@@ -324,7 +331,7 @@ def test_pattern_lowering_certificate(f2xyz):
     # p | k(t, i) for all i: the instance equals the level-(t-1) pattern
     x, z = f2xyz.var(0), f2xyz.var(2)
     g = make_instance(
-        GeneratorSpec(KIND_POWER, ((x, 3),), 1, t=2, k=(2,)), DiffForm.scalar(f2xyz, z)
+        GeneratorSpec(((x, 3),), 1, (2, (2,))), DiffForm.scalar(f2xyz, z)
     )
     lower, cert = pattern_lowering_certificate(g)
     assert lower.spec.t == 1 and lower.spec.k == (1,)
@@ -337,7 +344,7 @@ def test_power_value_matches_iterated_sp(f2xy):
     # the instance value is literally the monomial times the t-fold power of dv
     x, y = f2xy.var(0), f2xy.var(1)
     v = DiffForm.scalar(f2xy, y)
-    g = make_instance(GeneratorSpec(KIND_POWER, ((x, 3),), 1, t=2, k=(3,)), v)
+    g = make_instance(GeneratorSpec(((x, 3),), 1, (2, (3,))), v)
     assert g.value == sp_iter(d(v), 2).scale(x ** 3)
 
 
@@ -388,9 +395,7 @@ def _pinned_generator_lines():
     f3 = FunctionField.make(3, ["x", "y", "z"])
     for pairs in (((x * x, 2), (y, 2)), ((f3.var(0) ** 3, 2), (f3.var(1), 1))):
         fld = pairs[0][0].field
-        specs = [GeneratorSpec(KIND_LINEAR, pairs, 1, j=j) for j in range(len(pairs))]
-        specs += [GeneratorSpec(KIND_POWER, pairs, 1, t=t, k=k)
-                  for t, k in power_patterns(pairs, fld.p)]
+        specs = [GeneratorSpec(pairs, 1, level) for level in generator_levels(pairs, fld.p)]
         for spec in specs:
             g = make_instance(spec, random_form_rng(fld, 0, 2, 2, rng))
             for move in (("permute", (1, 0)), ("promote", 0), ("promote", 1), ("demote", 0)):
