@@ -155,12 +155,30 @@ def _pattern_doc(g) -> dict:
 
 
 def _level_option(options: dict, r: int, linear: bool) -> Level:
-    """The level picked by --j, (0, e_j), when linear, else by --t and --k."""
+    """The level picked by --j, (0, e_j), when linear, else by --t and --k;
+    r is the number of pairs, the slots that --j and --k address."""
     if linear:
-        return 0, unit_vector(r, int(options["j"]))
+        if options.get("j") is None:
+            raise KatoformsError("--kind linear needs --j, a slot index")
+        j = int(options["j"])
+        if not 0 <= j < r:
+            raise KatoformsError(f"--j {j} is not a slot index in 0..{r - 1}")
+        return 0, unit_vector(r, j)
     if options.get("t") is None:
+        if options.get("j") is not None:
+            raise KatoformsError("--j picks a linear slot and needs --kind linear")
         raise KatoformsError("give either --j or --t/--k to pick the generator")
-    return int(options["t"]), tuple(int(c) for c in options["k"].split(","))
+    if options.get("k") is None:
+        raise KatoformsError("--t needs --k, the comma-separated exponent vector")
+    try:
+        k = tuple(int(c) for c in str(options["k"]).split(","))
+    except ValueError:
+        raise KatoformsError(
+            f"--k must be comma-separated integers, got {options['k']!r}"
+        ) from None
+    if len(k) != r:
+        raise KatoformsError(f"--k needs {r} entries, one per pair, got {len(k)}")
+    return int(options["t"]), k
 
 
 def _parse_bounds(options: dict, fld: FunctionField) -> SearchBounds:

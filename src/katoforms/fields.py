@@ -13,9 +13,10 @@ operation is pure.
 
 Every ``RatFunc`` is kept canonical: num/den in lowest terms, den monic.
 ``ratfunc_normalize`` makes that form from any fraction by one gcd of the
-whole numerator and denominator.  Sum, product and ``scale`` instead rely on
-their operands being canonical and take gcds of denominators and cofactors
-only (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  For a/b + c/d:
+whole numerator and denominator; it is a constructor, and no ``RatFunc``
+operation normalizes a product.  The operations rely on their operands being
+canonical and take gcds of denominators and cofactors only (Henrici; Knuth,
+TAOCP vol. 2, 4.5.1).  For a/b + c/d:
 
     b = 1 or d = 1:  (a d + c b)/(b d) as it stands, no gcd;
     b = d:           one gcd of (a + c, b);
@@ -24,9 +25,15 @@ only (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  For a/b + c/d:
                      (t/g2) / ((b/g)(d/g2)).
 
 A product cancels across only, gcd(a, d) and gcd(c, b), skipping a gcd over
-a denominator 1, and ``scale`` by a unit takes none.  The reduced form with
-a monic denominator is unique, so these give exactly what normalizing the
-schoolbook fraction gives.
+a denominator 1, and ``scale`` by a unit takes none.  ``inv`` swaps num and
+den and makes the new denominator monic, with no gcd, and a/b / (c/d) is
+a/b * (d/c), so a quotient takes the product's two cross gcds.  The
+derivative ``partial`` of a/b takes none for b = 1 and otherwise
+g = gcd(b, db), h = b/g and t = (da) h - a (db/g); t is prime to h, and the
+derivative is t/(h b) with g2 = gcd(t, g) cancelled, a gcd skipped when
+g = 1.  No gcd is taken against b^2.  The reduced form with a monic
+denominator is unique, so these give exactly what normalizing the schoolbook
+fraction gives.
 """
 
 from __future__ import annotations
@@ -529,15 +536,22 @@ class RatFunc:
         return RatFunc(field, a * c, b * d)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
+        """self times the inverse of other: the product's two cross gcds."""
         self._check(other)
         if other.is_zero():
             raise ZeroDenominator("division by zero")
-        return ratfunc_normalize(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        """den/num made monic: a reduced pair stays reduced, so no gcd."""
+        num, den = self.num, self.den
+        if num.is_zero():
             raise ZeroDenominator("inverse of zero")
-        return ratfunc_normalize(self.den, self.num)
+        _, lc = num.leading()
+        if lc != 1:
+            u = self.field.prime.inv(lc)
+            num, den = num.scale(u), den.scale(u)
+        return RatFunc(self.field, den, num)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -595,11 +609,31 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
 
 
 def partial(f: RatFunc, i: int) -> RatFunc:
-    """Formal partial derivative d/dx_i via the quotient rule."""
-    if not 0 <= i < f.field.nvars:
+    """Formal partial derivative d/dx_i of a reduced a/b by the quotient rule.
+
+    No gcd is taken against b^2.  A denominator 1 gives (da)/1 with no gcd.
+    Otherwise g = gcd(b, db), h = b/g and t = (da) h - a (db/g), so that
+    (da b - a db)/b^2 = t/(h b).  Each irreducible factor of h divides b but
+    neither a nor db/g, so t is prime to h and only g2 = gcd(t, g) cancels: at
+    most two gcds, against b and its factor g, and one when g = 1
+    (Bronstein, Symbolic Integration I, 1.3).  t = 0 gives 0/1.
+    """
+    field = f.field
+    if not 0 <= i < field.nvars:
         raise IndexError(f"variable index {i} out of range")
-    num = f.num.partial(i) * f.den - f.num * f.den.partial(i)
-    return ratfunc_normalize(num, f.den * f.den)
+    a, b = f.num, f.den
+    if b.is_const():
+        return RatFunc(field, a.partial(i), b)
+    db = b.partial(i)
+    g = poly_gcd(b, db)
+    h = poly_exact_div(b, g)
+    t = a.partial(i) * h - a * poly_exact_div(db, g)
+    if t.is_zero():
+        return field.zero()
+    g2 = g if g.is_const() else poly_gcd(t, g)
+    if not g2.is_const():
+        t, b = poly_exact_div(t, g2), poly_exact_div(b, g2)
+    return RatFunc(field, t, h * b)
 
 
 def frobenius_decompose(f: RatFunc) -> dict[tuple[int, ...], RatFunc]:

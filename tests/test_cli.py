@@ -173,6 +173,30 @@ def test_vanish_cert_reads_the_level_of_its_kind(ext_file):
 
 
 @pytest.mark.parametrize(
+    "command, options, flag",
+    [
+        ("vanish-cert", {"kind": "linear", "j": 5}, "--j"),
+        ("vanish-cert", {"kind": "linear", "j": -1}, "--j"),
+        ("vanish-cert", {"kind": "linear"}, "--j"),
+        ("vanish-cert", {"j": 1}, "--kind linear"),
+        ("check-hyperbolic", {"j": -1}, "--j"),
+        ("check-hyperbolic", {"t": 1}, "--k"),
+        ("check-hyperbolic", {"t": 0, "k": "1"}, "--k"),
+        ("vanish-cert", {"t": 1, "k": "1,0,0"}, "--k"),
+        ("vanish-cert", {"t": 1, "k": "1,x"}, "--k"),
+    ],
+    ids=["j-past-slots", "j-negative", "linear-without-j", "j-without-linear",
+         "hyperbolic-j-negative", "t-without-k", "k-too-short", "k-too-long",
+         "k-not-integers"],
+)
+def test_bad_level_flags_are_named(ext_file, command, options, flag):
+    # the spec has two pairs, so --j lies in 0..1 and --k has two entries
+    extra = {"n": 1, "inst": "y"} if command == "vanish-cert" else {"s": "y"}
+    code, report = _run(command, ext=ext_file, **extra, **options)
+    assert code == 3 and flag in report["error"]
+
+
+@pytest.mark.parametrize(
     "adapted",
     [[[7, 2]], [[0, 1]], [[0, 2]]],
     ids=["index-out-of-range", "wrong-exponent", "power-image-undistinguished"],

@@ -204,6 +204,15 @@ def test_arithmetic_takes_gcds_of_denominators_only(f3xy, monkeypatch):
             f.num * g.den + g.num * f.den, f.den * g.den), 1),
         (lambda: h + k, ratfunc_normalize(h.num + k.num, b), 1),
     ]
+    calls = _count_outermost_gcds(monkeypatch)
+    for op, expected, gcds in cases:
+        calls.clear()
+        assert op() == expected
+        assert len(calls) == gcds
+
+
+def _count_outermost_gcds(monkeypatch):
+    """Record the operands of each ``poly_gcd`` call not made by another."""
     inner = fields.poly_gcd
     depth = [0]
     calls = []
@@ -218,10 +227,37 @@ def test_arithmetic_takes_gcds_of_denominators_only(f3xy, monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(fields, "poly_gcd", counting)
+    return calls
+
+
+def test_inverse_and_quotient_rule_take_no_gcd_against_a_product(f3xy, monkeypatch):
+    """``inv`` takes no gcd; ``partial`` takes none over a denominator 1, one
+    when gcd(b, db) = 1 and two otherwise, and none against b^2."""
+    x, y, one = f3xy.var(0), f3xy.var(1), f3xy.one()
+    f = ratfunc_normalize((x * y + one).num, (x * x + y).num.scale(2))
+    p = x * x * y + x
+    b1 = (x + y + one).num
+    f1 = ratfunc_normalize((x * y).num, b1)
+    b2 = ((x + one) * (x + one) * (y + one)).num
+    f2 = ratfunc_normalize((y + x * x).num, b2)
+
+    def derivative(g, i):
+        a, b = g.num, g.den
+        return ratfunc_normalize(a.partial(i) * b - a * b.partial(i), b * b)
+
+    cases = [
+        (lambda: f.inv(), ratfunc_normalize(f.den, f.num), 0),
+        (lambda: partial(p, 0), derivative(p, 0), 0),
+        (lambda: partial(f1, 0), derivative(f1, 0), 1),
+        (lambda: partial(f2, 0), derivative(f2, 0), 2),
+    ]
+    squares = {b1 * b1, b2 * b2}
+    calls = _count_outermost_gcds(monkeypatch)
     for op, expected, gcds in cases:
         calls.clear()
         assert op() == expected
         assert len(calls) == gcds
+        assert not any(u in squares or v in squares for u, v in calls)
 
 
 def test_polynomial_power_multiplies_no_one(f3xy, monkeypatch):
