@@ -34,6 +34,16 @@ derivative is t/(h b) with g2 = gcd(t, g) cancelled, a gcd skipped when
 g = 1.  No gcd is taken against b^2.  The reduced form with a monic
 denominator is unique, so these give exactly what normalizing the schoolbook
 fraction gives.
+
+``poly_gcd`` works in the highest variable x_i that either operand has.
+Operands in x_i alone go to a dense leaf: Euclid over F_p on coefficient
+lists.  Otherwise the contents (gcds of the x_i-coefficients) are split off
+at the top, and the primitive parts run the subresultant PRS (Collins 1967;
+Brown and Traub 1971): each pseudo-remainder lc(b)^(delta+1) a mod b is
+divided exactly by g h^delta, where g is the leading coefficient of the
+previous divisor and h <- g^delta / h^(delta-1), so no content is taken
+inside the sequence; one primitive part is taken of its last nonzero
+member.  Either way the result is the monic gcd, which is unique.
 """
 
 from __future__ import annotations
@@ -381,30 +391,77 @@ def _content(a: MultiPoly, i: int) -> MultiPoly:
     return g
 
 
+def _lc_in(a: MultiPoly, i: int, d: int, to: int = 0) -> MultiPoly:
+    """The leading coefficient of a in x_i, d = deg_i a, times x_i^to."""
+    out = {}
+    for exp, c in a.terms.items():
+        if exp[i] == d:
+            e = list(exp)
+            e[i] = to
+            out[tuple(e)] = c
+    return MultiPoly(a.field, out)
+
+
 def _prem(a: MultiPoly, b: MultiPoly, i: int) -> MultiPoly:
-    """Pseudo-remainder of a by b in the variable x_i."""
-    field = a.field
-    cb = _coeffs_in(b, i)
-    db = max(cb)
-    lc_b = cb[db]
-    mono = [0] * field.nvars
+    """Pseudo-remainder lc(b)^(delta+1) a mod b in x_i, delta = deg a - deg b.
+
+    Needs deg_i a >= deg_i b >= 1.  Each reduction step multiplies by lc(b)
+    once; the steps a degree drop skips are made up at the end, so the
+    multiplier is always lc(b)^(delta+1) and the subresultant divisions
+    in ``poly_gcd`` are exact.
+    """
+    db = b.degree_in(i)
+    lc_b = _lc_in(b, i, db)
+    steps = a.degree_in(i) - db + 1
     rem = a
     while not rem.is_zero():
-        cr = _coeffs_in(rem, i)
-        dr = max(cr)
+        dr = rem.degree_in(i)
         if dr < db:
             break
-        mono[i] = dr - db
-        shift = MultiPoly(field, {tuple(mono): 1})
-        rem = rem * lc_b - b * shift * cr[dr]
+        rem = rem * lc_b - b * _lc_in(rem, i, dr, dr - db)
+        steps -= 1
+    if steps and not rem.is_zero():
+        rem = rem * lc_b ** steps
     return rem
 
 
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic GCD via content/primitive-part recursion with a primitive PRS.
+def _in_var_alone(a: MultiPoly, i: int) -> bool:
+    return all(sum(exp) == exp[i] for exp in a.terms)
 
-    Correctness over speed: inputs here stay desk-scale.
-    """
+
+def _dense_gcd(a: MultiPoly, b: MultiPoly, i: int) -> MultiPoly:
+    """Monic gcd of a and b in x_i alone: Euclid over F_p on coefficient
+    lists, lowest degree first."""
+    field = a.field
+    p = field.p
+    u, v = [0] * (a.degree_in(i) + 1), [0] * (b.degree_in(i) + 1)
+    for poly, dense in ((a, u), (b, v)):
+        for exp, c in poly.terms.items():
+            dense[exp[i]] = c
+    while v:
+        # u <- u mod v
+        inv = pow(v[-1], p - 2, p)
+        top = len(v) - 1
+        while len(u) > top:
+            q = u.pop() * inv % p
+            shift = len(u) - top
+            for k in range(top):
+                u[shift + k] = (u[shift + k] - q * v[k]) % p
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    inv = pow(u[-1], p - 2, p)
+    mono = [0] * field.nvars
+    out = {}
+    for k, c in enumerate(u):
+        if c:
+            mono[i] = k
+            out[tuple(mono)] = c * inv % p
+    return MultiPoly(field, out)
+
+
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of a and b (see the module docstring for the method)."""
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
     field = a.field
@@ -421,6 +478,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         # one operand is free of the main variable: gcd divides its content
         free, other = (a, b) if a.degree_in(i) == 0 else (b, a)
         return poly_gcd(free, _content(other, i)).monic()
+    if _in_var_alone(a, i) and _in_var_alone(b, i):
+        return _dense_gcd(a, b, i)
     cont_a = _content(a, i)
     cont_b = _content(b, i)
     cont_g = poly_gcd(cont_a, cont_b)
@@ -428,18 +487,20 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     pb = poly_exact_div(b, cont_b)
     if pa.degree_in(i) < pb.degree_in(i):
         pa, pb = pb, pa
+    # subresultant PRS: g = lc of the previous divisor, h <- g^delta / h^(delta-1)
+    g = h = field.const_poly(1)
     while True:
+        delta = pa.degree_in(i) - pb.degree_in(i)
         r = _prem(pa, pb, i)
         if r.is_zero():
-            g = pb
             break
         if r.degree_in(i) == 0:
-            g = field.const_poly(1)
-            break
-        pa, pb = pb, poly_exact_div(r, _content(r, i))
-    if not g.is_const():
-        g = poly_exact_div(g, _content(g, i))
-    return (cont_g * g).monic()
+            return cont_g.monic()
+        pa, pb = pb, poly_exact_div(r, g if delta == 0 else g * h ** delta)
+        g = _lc_in(pa, i, pa.degree_in(i))
+        if delta:
+            h = g if delta == 1 else poly_exact_div(g ** delta, h ** (delta - 1))
+    return (cont_g * poly_exact_div(pb, _content(pb, i))).monic()
 
 
 # -- rational functions ----------------------------------------------------

@@ -1,5 +1,7 @@
 """Field arithmetic: canonical forms, derivations, Frobenius structure."""
 
+import random
+
 import pytest
 
 from katoforms import (
@@ -279,3 +281,124 @@ def test_polynomial_power_multiplies_no_one(f3xy, monkeypatch):
         calls.clear()
         assert f ** n == expected[n]
         assert len(calls) == products
+
+
+def _record_prem(monkeypatch):
+    """Record the operands (variable, a, b) of each pseudo-remainder taken."""
+    inner = fields._prem
+    calls = []
+
+    def recording(a, b, i):
+        calls.append((i, a, b))
+        return inner(a, b, i)
+
+    monkeypatch.setattr(fields, "_prem", recording)
+    return calls
+
+
+def test_subresultant_prs_with_a_degree_gap(monkeypatch):
+    """A remainder sequence in y whose second step drops two degrees, so
+    h <- g^2 / h is taken with h = lc != 1 and divides the later remainders.
+    Each member equals sympy's subresultant up to a unit."""
+    sympy = pytest.importorskip("sympy")
+    fld = FunctionField.make(3, ["x", "y"])
+    x, y, one = fld.var(0).num, fld.var(1).num, fld.const_poly(1)
+    u = (x * y ** 5 + x ** 2 * y ** 2 + x * y).scale(2) + one
+    v = x ** 2 * y ** 4 + (x * y).scale(2) + y + one.scale(2)
+    c = x * y + one
+    calls = _record_prem(monkeypatch)
+    assert poly_gcd(u * c, v * c) == c
+    steps = [(a, b) for i, a, b in calls if i == 1]
+    assert [a.degree_in(1) - b.degree_in(1) for a, b in steps] == [1, 2, 1, 1]
+    gens = sympy.symbols("y x")
+
+    def sympy_monic(f):
+        return sympy.Poly.from_dict({(e[1], e[0]): k for e, k in f.terms.items()},
+                                    *gens, modulus=3).monic()
+
+    members = [steps[0][0]] + [b for _, b in steps]
+    expected = sympy_monic(u * c).subresultants(sympy_monic(v * c))
+    assert [sympy_monic(f) for f in members] == [f.monic() for f in expected]
+    assert poly_gcd(u, v) == one
+
+
+def test_subresultant_prs_with_equal_degrees(f2xy, monkeypatch):
+    """Operands of one degree in y: the first step has delta = 0."""
+    x, y, one = f2xy.var(0).num, f2xy.var(1).num, f2xy.const_poly(1)
+    calls = _record_prem(monkeypatch)
+    g = poly_gcd((y + x) * (x * y + one), (y + x) * (y + x * x))
+    assert g == y + x
+    assert [a.degree_in(1) - b.degree_in(1) for i, a, b in calls if i == 1][0] == 0
+
+
+def test_coprime_primitive_parts_give_the_content_gcd(monkeypatch):
+    """Primitive parts y + x and y^2 + x are coprime, so the gcd is the
+    monic gcd of the contents 2x(x + 1) and x + 1."""
+    fld = FunctionField.make(3, ["x", "y"])
+    x, y, one = fld.var(0).num, fld.var(1).num, fld.const_poly(1)
+    calls = _record_prem(monkeypatch)
+    g = poly_gcd((x * (x + one) * (y + x)).scale(2), (x + one) * (y * y + x))
+    assert g == x + one
+    assert any(i == 1 for i, _, _ in calls)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_univariate_gcd_takes_the_dense_leaf(p, monkeypatch):
+    """Pairs in one variable of degree >= 8 go through Euclid on coefficient
+    lists, with no pseudo-remainder, and agree with sympy."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(p)
+    fld = FunctionField.make(p, ["x", "y"])
+    leaf = fields._dense_gcd
+    leaves = []
+
+    def counting(a, b, i):
+        leaves.append(i)
+        return leaf(a, b, i)
+
+    monkeypatch.setattr(fields, "_dense_gcd", counting)
+    calls = _record_prem(monkeypatch)
+    for i, var in enumerate(sympy.symbols(fld.vars)):
+
+        def poly(deg):
+            coeffs = [rng.randint(0, p - 1) for _ in range(deg)] + [rng.randint(1, p - 1)]
+            return fields.MultiPoly(fld, {(k, 0) if i == 0 else (0, k): c
+                                          for k, c in enumerate(coeffs) if c})
+
+        def to_sympy(f):
+            return sympy.Poly.from_dict({(e[i],): c for e, c in f.terms.items()},
+                                        var, modulus=p)
+
+        for _ in range(5):
+            common = poly(rng.randint(0, 4))
+            a = poly(rng.randint(8, 10)) * common
+            b = poly(rng.randint(8, 10)) * common
+            leaves.clear()
+            g = poly_gcd(a, b)
+            assert leaves == [i]
+            expected = to_sympy(a).gcd(to_sympy(b))
+            assert to_sympy(g) == expected
+            assert g.leading()[1] == 1
+    assert calls == []
+
+
+def test_pseudo_remainder_identity():
+    """lc(b)^(delta+1) a = q b + r with deg r < deg b, also when a reduction
+    step drops more than one degree (y^4 + 1 by x y^2 + 1 skips y^3)."""
+    fld = FunctionField.make(3, ["x", "y"])
+    x, y, one = fld.var(0).num, fld.var(1).num, fld.const_poly(1)
+    cases = [
+        (y ** 4 + one, x * y * y + one, x * (x * x + one)),
+        ((x * y ** 3 + y).scale(2) + x, x * y + one, None),
+        (x * y * y + y, (x + one) * y * y + x, None),
+        (y ** 5 + x * y ** 2 + one, (x * x + one) * y ** 2 + y, None),
+    ]
+    for a, b, expected in cases:
+        r = fields._prem(a, b, 1)
+        if expected is not None:
+            assert r == expected
+        lc_b = fields._lc_in(b, 1, b.degree_in(1))
+        lhs = a * lc_b ** (a.degree_in(1) - b.degree_in(1) + 1)
+        q = fields.poly_exact_div(lhs - r, b)
+        assert lhs == q * b + r
+        assert r.degree_in(1) < b.degree_in(1)
