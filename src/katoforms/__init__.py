@@ -60,6 +60,7 @@ from .forms import (
     cartier_raw,
     d,
     dlog,
+    form_class,
     grade_decompose,
     integrate,
     is_exact,
@@ -108,6 +109,7 @@ from .witt import (
     lagrangian_check,
     pfister_bil,
     pfister_quad,
+    quad_kernel_generator,
     quad_kernel_generators,
     restrict_quad,
 )

@@ -54,6 +54,7 @@ from .forms import (
     cartier_raw,
     d,
     dlog,
+    form_class,
     is_exact,
     nu_member,
     random_form_rng,
@@ -65,6 +66,7 @@ from .generators import (
     KIND_LINEAR,
     KIND_POWER,
     Level,
+    generator_levels,
     kernel_generators,
     make_instance,
     unit_vector,
@@ -79,6 +81,7 @@ from .witt import (
     hyperbolicity_certificate,
     kato_e,
     kato_f,
+    quad_kernel_generator,
     quad_kernel_generators,
 )
 
@@ -209,12 +212,7 @@ def _bounds_doc(bounds: SearchBounds) -> dict:
 def _cmd_classify(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
     omega = _load_form(options["form"], fld)
-    closed = d(omega).is_zero()
-    result: dict = {
-        "closed": closed,
-        "exact": is_exact(omega),
-        "nu": nu_member(omega),
-    }
+    result: dict = form_class(omega)._asdict()
     bounds = _parse_bounds(options, fld)
     cert = solve_wp_plus_d(omega, bounds)
     result["witness_bounds"] = _bounds_doc(bounds)
@@ -342,12 +340,10 @@ def _cmd_check_hyperbolic(options: dict, seed: int) -> tuple[int, dict]:
     pairs = _adapted_pairs(ext, "hyperbolicity checks need")
     fld = ext.source
     s = sexpr.parse_form_text(_read_arg(options["s"]), fld).scalar_value()
-    candidates = quad_kernel_generators(pairs, [s])
     level = _level_option(options, len(pairs), options.get("j") is not None)
-    wanted = [g for g in candidates if g.level == level]
-    if not wanted:
+    if level not in generator_levels(pairs, 2):
         raise KatoformsError("no generator matches the requested pattern")
-    g = wanted[0]
+    g = quad_kernel_generator(pairs, s, level)
     if options.get("form"):
         supplied = sexpr.parse_quadform(_read_arg(options["form"]), fld)
         if supplied != g.form:

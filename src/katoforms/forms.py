@@ -28,7 +28,7 @@ checks them against the independent bounded search in ``oracle``.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegreeMismatch, FieldMismatch, NotClosed, NotExact
 from .fields import (
@@ -293,14 +293,35 @@ def cartier(omega: DiffForm) -> DiffForm:
     return cartier_raw(omega)
 
 
+class FormClass(NamedTuple):
+    """Whether a form is closed, exact, and in nu (the kernel of wp modulo
+    exact forms)."""
+
+    closed: bool
+    exact: bool
+    nu: bool
+
+
+def form_class(omega: DiffForm) -> FormClass:
+    """Closed, exact and nu membership from one d and at most one Cartier image.
+
+    exact <=> closed with vanishing Cartier image; nu <=> closed and fixed
+    by Cartier.
+    """
+    if not d(omega).is_zero():
+        return FormClass(False, False, False)
+    c = cartier_raw(omega)
+    return FormClass(True, c.is_zero(), c == omega)
+
+
 def is_exact(omega: DiffForm) -> bool:
     """omega in d(Omega^(n-1)): closed with vanishing Cartier image."""
-    return d(omega).is_zero() and cartier_raw(omega).is_zero()
+    return form_class(omega).exact
 
 
 def nu_member(omega: DiffForm) -> bool:
     """Kernel of wp modulo exact forms: closed and fixed by Cartier."""
-    return d(omega).is_zero() and cartier_raw(omega) == omega
+    return form_class(omega).nu
 
 
 # -- grading and explicit integration ----------------------------------------

@@ -47,7 +47,9 @@ class Singular(CertificateFailed):
 
 
 def _mat_zero(field: FunctionField, n: int, m: int) -> Matrix:
-    return [[field.zero() for _ in range(m)] for _ in range(n)]
+    """n x m zeros; entries are immutable, so every row holds one zero."""
+    zero = field.zero()
+    return [[zero] * m for _ in range(n)]
 
 
 def _mat_mul(a: Matrix, b: Matrix, field: FunctionField) -> Matrix:
@@ -127,13 +129,19 @@ class QuadForm:
     def __init__(self, field: FunctionField, dim: int, matrix: Matrix):
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError("matrix shape mismatch")
-        folded = _mat_zero(field, dim, dim)
-        for i in range(dim):
-            for j in range(dim):
-                if i <= j:
-                    folded[i][j] = folded[i][j] + matrix[i][j]
-                else:
-                    folded[j][i] = folded[j][i] + matrix[i][j]
+        if any(e.field != field for row in matrix for e in row):
+            raise FieldMismatch(f"a matrix entry is not over {field}")
+        # fold the strict lower triangle onto the upper one: v^T M v only
+        # sees M[i][j] + M[j][i]
+        zero = field.zero()
+        folded = [list(row) for row in matrix]
+        for i in range(1, dim):
+            row = folded[i]
+            for j in range(i):
+                e = row[j]
+                if not e.is_zero():
+                    folded[j][i] = folded[j][i] + e
+                    row[j] = zero
         self.field = field
         self.dim = dim
         self.matrix = folded
@@ -410,25 +418,29 @@ class WittGenerator(Pattern):
         return PfisterSymbol(slots=(self.s,), tail=self.tail)
 
 
+def quad_kernel_generator(
+    pairs: Sequence[tuple[RatFunc, int]], s: RatFunc, level: Level
+) -> WittGenerator:
+    """The generator << s, s^(2^t) b^k ]] at one level (t, k) of the system."""
+    pairs = tuple(pairs)
+    field = pairs[0][0].field
+    if field.p != 2:
+        raise ValueError("quadratic Witt kernel generators live in characteristic 2")
+    if s.is_zero():
+        raise ValueError("s must be nonzero")
+    t, k = level
+    tail = s ** (2**t) * monomial(field, [b for b, _ in pairs], k)
+    form = pfister_quad(PfisterSymbol((s,), tail))
+    return WittGenerator(pairs, s, (t, tuple(k)), tail, form)
+
+
 def quad_kernel_generators(
     pairs: Sequence[tuple[RatFunc, int]], s_list: Sequence[RatFunc]
 ) -> list[WittGenerator]:
     """Generators << s, s^(2^t) b^k ]] at every level; << s, s b_j ]] at level 0."""
     pairs = tuple(pairs)
-    field = pairs[0][0].field
-    if field.p != 2:
-        raise ValueError("quadratic Witt kernel generators live in characteristic 2")
-    bs = [b for b, _ in pairs]
     levels = generator_levels(pairs, 2)
-    out = []
-    for s in s_list:
-        if s.is_zero():
-            raise ValueError("s must be nonzero")
-        for t, k in levels:
-            tail = s ** (2**t) * monomial(field, bs, k)
-            form = pfister_quad(PfisterSymbol((s,), tail))
-            out.append(WittGenerator(pairs, s, (t, k), tail, form))
-    return out
+    return [quad_kernel_generator(pairs, s, level) for s in s_list for level in levels]
 
 
 @dataclass(frozen=True)
@@ -459,8 +471,11 @@ class HyperbolicityChain:
 
 
 def restrict_quad(q: QuadForm, ext: ExtensionSpec) -> QuadForm:
+    zero = ext.target.zero()
     return QuadForm(
-        ext.target, q.dim, [[ext.apply(e) for e in row] for row in q.matrix]
+        ext.target,
+        q.dim,
+        [[zero if e.is_zero() else ext.apply(e) for e in row] for row in q.matrix],
     )
 
 

@@ -1,6 +1,8 @@
 """Command-line front-end: exit codes, reports, determinism."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -12,6 +14,8 @@ from katoforms import (
     build_adapted,
     build_embedding,
     extension_to_json,
+    forms,
+    witt,
 )
 from katoforms.cli import DEFAULT_SEED, JobSpec, main, run
 
@@ -65,6 +69,94 @@ def test_classify_inconclusive():
     )
     assert report["result"]["class_witness"] == "absent-within-bounds"
     assert code == 2
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name under every name that binds it in katoforms."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "katoforms" or mod_name.startswith("katoforms."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "form, classes, cartiers, digest",
+    [
+        ("y dx + x dy", (True, True, False), 1,
+         "e044de2a6473f463b5bcdf0c71cf926553ec516996fd879afd83736ed1906eca"),
+        ("dx/x", (True, False, True), 1,
+         "4b090c59855cbb5cddc920dcf9c546333bd3edec4a3295aed14ecbef412e0836"),
+        ("x dx", (True, False, False), 1,
+         "f2f083f6b8afcb832ba5e8956f3daa2eb020512e7569b61e36182f2882dbee80"),
+        ("x dy", (False, False, False), 0,
+         "7e35bb0a5c2930bc3497c3280a5e15b34b6a432b6de2aae8804c29089c8406a5"),
+    ],
+    ids=["exact", "nu", "closed-only", "not-closed"],
+)
+def test_classify_takes_one_d_and_one_cartier(monkeypatch, form, classes, cartiers, digest):
+    # closed, exact and nu come from one d(omega) and one Cartier image of a
+    # closed omega; a found witness adds the checker's d(eta)
+    d_calls = _count_calls(monkeypatch, forms, "d")
+    c_calls = _count_calls(monkeypatch, forms, "cartier_raw")
+    _, report = _run("classify", form=form, field="F2(x,y)", deg=3, dens="1,x")
+    result = report["result"]
+    assert (result["closed"], result["exact"], result["nu"]) == classes
+    found = result["class_witness"] == "found"
+    assert (len(d_calls), len(c_calls)) == (1 + found, cartiers)
+    assert _digest(report) == digest
+
+
+@pytest.fixture
+def ext_x2_file(tmp_path, f2xy):
+    ext = build_adapted(f2xy, AdaptedData(((0, 2),)))
+    path = tmp_path / "ext_x2.json"
+    path.write_text(extension_to_json(ext))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "level, digest",
+    [
+        ({"j": 0}, "1a940a9d2c2a2b5943d65e29007a54f3546a2c9a9479106a417a16fdd4358518"),
+        ({"t": 1, "k": "1"},
+         "c27483a3943975c11a80143742c38347822cedd44683883d25550f92e7ae38af"),
+    ],
+    ids=["linear", "power"],
+)
+def test_check_hyperbolic_builds_one_generator(monkeypatch, ext_x2_file, level, digest):
+    # x:2 has three levels; only the requested one gets its Pfister form
+    calls = _count_calls(monkeypatch, witt, "pfister_quad")
+    code, report = _run("check-hyperbolic", ext=ext_x2_file, s="y", **level)
+    assert code == 0 and len(calls) == 1
+    assert _digest(report["result"]) == digest
+
+
+def test_check_hyperbolic_input_errors(tmp_path, ext_x2_file, f3xy):
+    ext3 = tmp_path / "ext_f3.json"
+    ext3.write_text(extension_to_json(build_adapted(f3xy, AdaptedData(((0, 1),)))))
+    for ext, options, error in (
+        (ext_x2_file, {"t": 0, "k": "2"},
+         "KatoformsError: no generator matches the requested pattern"),
+        (ext_x2_file, {"t": 1},
+         "KatoformsError: --t needs --k, the comma-separated exponent vector"),
+        (str(ext3), {"j": 0},
+         "ValueError: quadratic Witt kernel generators live in characteristic 2"),
+    ):
+        code, report = _run("check-hyperbolic", ext=ext, s="y", **options)
+        assert (code, report["error"]) == (3, error)
 
 
 @pytest.mark.parametrize(

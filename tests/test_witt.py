@@ -7,6 +7,8 @@ from katoforms import (
     BilForm,
     CertificateFailed,
     DiffForm,
+    FieldMismatch,
+    FunctionField,
     IsometryCert,
     LagrangianCert,
     PfisterSymbol,
@@ -30,6 +32,7 @@ from katoforms import (
     wedge,
 )
 from katoforms.oracle import SearchBounds, artin_schreier_search
+from katoforms.witt import _mat_zero
 
 
 def test_pfister_dimensions(f2xy):
@@ -47,6 +50,41 @@ def test_pfister_dimensions(f2xy):
     # three slots: dimension 2^4 for the quadratic form
     assert pfister_quad(PfisterSymbol((x, y, x + y), x * y)).dim == 16
     assert pfister_bil(PfisterSymbol((x, y, x + y))).dim == 8
+
+
+def test_quadform_folds_a_full_matrix(f2xy):
+    # v^T M v sees M[i][j] + M[j][i]: the lower triangle folds onto the upper
+    # one; a lower y cancels its upper y in characteristic 2, row 2 is zero,
+    # and the expected matrix is the one the entry-by-entry fold built
+    x, y = f2xy.var(0), f2xy.var(1)
+    one, zero = f2xy.one(), f2xy.zero()
+    matrix = [
+        [x, y, one, y / x],
+        [y, x + y, zero, one / x],
+        [zero, zero, zero, zero],
+        [x, x * y, one / (x + y), x * y],
+    ]
+    rows = [row[:] for row in matrix]
+    q = QuadForm(f2xy, 4, matrix)
+    assert q.matrix == [
+        [x, zero, one, (x * x + y) / x],
+        [zero, x + y, zero, (x * x * y + one) / x],
+        [zero, zero, zero, one / (x + y)],
+        [zero, zero, zero, x * y],
+    ]
+    assert matrix == rows  # the argument is left as it was
+    v = [x, one, y, x + one]
+    assert q.evaluate(v) == sum(
+        (v[i] * rows[i][j] * v[j] for i in range(4) for j in range(4)), zero
+    )
+    with pytest.raises(FieldMismatch):
+        QuadForm(f2xy, 2, [[one, FunctionField.make(2, ["x"]).one()], [zero, one]])
+
+
+def test_mat_zero_rows_are_independent(f2xy):
+    m = _mat_zero(f2xy, 3, 2)
+    m[1][0] = f2xy.one()
+    assert m == [[f2xy.zero()] * 2, [f2xy.one(), f2xy.zero()], [f2xy.zero()] * 2]
 
 
 def test_quadform_evaluation(f2xy):
