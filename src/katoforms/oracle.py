@@ -40,18 +40,29 @@ depend on D, on the row order, on the packing or on the pivot rows chosen.
 The system is a function of the bounds: the candidates, D, the packing and
 the columns depend on (bounds, field, form degree, with or without wp) and
 not on omega, which only picks the right-hand side.  So each system is
-built once per bounds value and memoized in a ``WeakKeyDictionary`` keyed
-by the bounds (``Space``, ``System``): equal bounds share one system, and
-it is dropped with the bounds, so no size limit is needed.  A system is
-factored when it is built and keeps only its columns, its row index and
-the factorization, not the rows.  Per call, the target is packed into a
-right-hand side and the recorded elimination is replayed on it alone: the
-pivots and the arithmetic are those of ``gauss_solve`` on the same rows,
-so the solution is the same.  A target key in no row (an exponent at or
-above the radix, or a monomial no column reaches) is absent at once, as
-the empty row it would fill is infeasible.  Two threads may both build a
-missing system; the build is deterministic and a system is frozen once
-built, so either result serves.
+built once per bounds value and memoized (``Space``, ``System``) in a dict
+keyed by the bounds value: equal bounds share one system, whether or not
+the caller holds the bounds object, so in-process callers that make fresh
+equal bounds for every call, as ``cli.run`` does for each job, build it
+once.  The memo keeps the ``RECENT_BOUNDS`` most recently used values and
+drops the least recently used one beyond that.  The cap of 8 is set by
+memory.  An entry keeps a ``Space`` per field and a ``System`` per (form
+degree, with_wp) used on it, up to 2 nvars + 1 systems per field.  A
+system retains about 1/8 of its build's peak (22 MB against 174 MB at
+degree bound 20), so eight values used at one form degree each retain
+about one build's peak: on F3(x,y,z) at degree bound 20, n = 2, they
+raise a process's peak RSS from 203 MB (one build) to 348 MB, and further
+values leave it near 358 MB.  A value used at several form degrees keeps
+a system for each.  A system is factored when it is built and keeps only
+its columns, its row index and the factorization, not the rows.  Per
+call, the target is packed into a right-hand side and the recorded
+elimination is replayed on it alone: the pivots and the arithmetic are
+those of ``gauss_solve`` on the same rows, so the solution is the same.
+A target key in no row (an exponent at or above the radix, or a monomial
+no column reaches) is absent at once, as the empty row it would fill is
+infeasible.  Two threads may both build a missing system; the build is
+deterministic and a system is frozen once built, so either result
+serves.  The memo itself is updated under a lock.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -60,7 +71,7 @@ This module is deliberately independent of the constructive rewriting in
 from __future__ import annotations
 
 import itertools
-import weakref
+import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -371,9 +382,25 @@ class System:
         return rhs
 
 
-# bounds -> {field: Space}; equal bounds share one entry, and it goes when
-# the bounds it was first stored under do
-_SYSTEMS: "weakref.WeakKeyDictionary[SearchBounds, dict]" = weakref.WeakKeyDictionary()
+# bounds -> {field: Space} for the RECENT_BOUNDS most recently used bounds
+# values; a dict keeps insertion order, so the first key is the least
+# recently used
+_SYSTEMS: dict[SearchBounds, dict] = {}
+_SYSTEMS_LOCK = threading.Lock()
+
+RECENT_BOUNDS = 8
+
+
+def _spaces(bounds: SearchBounds) -> dict:
+    """The memo entry of a bounds value, marked as the most recently used."""
+    with _SYSTEMS_LOCK:
+        spaces = _SYSTEMS.pop(bounds, None)
+        if spaces is None:
+            spaces = {}
+        _SYSTEMS[bounds] = spaces
+        while len(_SYSTEMS) > RECENT_BOUNDS:
+            del _SYSTEMS[next(iter(_SYSTEMS))]
+    return spaces
 
 
 def _solve_columns(
@@ -382,9 +409,7 @@ def _solve_columns(
     """The columns of the system at the bounds (``System``), and the lambda
     with sum lambda_j * image_j = omega, or None if there is none."""
     field = omega.field
-    memo = _SYSTEMS.get(bounds)
-    if memo is None:
-        memo = _SYSTEMS[bounds] = {}
+    memo = _spaces(bounds)
     space = memo.get(field)
     if space is None:
         space = memo[field] = Space(bounds, field)

@@ -23,7 +23,7 @@ well-definedness check across isometric symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .certificates import monomial
 from .errors import (
@@ -52,17 +52,30 @@ def _mat_zero(field: FunctionField, n: int, m: int) -> Matrix:
     return [[zero] * m for _ in range(n)]
 
 
+def _add(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b, with no addition when either is zero."""
+    if b.is_zero():
+        return a
+    return b if a.is_zero() else a + b
+
+
+def _sum(terms: Iterable[RatFunc], field: FunctionField) -> RatFunc:
+    """The sum of the nonzero terms, started from the first one, not from zero."""
+    total = None
+    for term in terms:
+        if not term.is_zero():
+            total = term if total is None else total + term
+    return field.zero() if total is None else total
+
+
 def _mat_mul(a: Matrix, b: Matrix, field: FunctionField) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = _mat_zero(field, n, m)
-    for i in range(n):
-        for l in range(k):
-            if a[i][l].is_zero():
-                continue
-            for j in range(m):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][l] * b[l][j]
-    return out
+    k = len(b)
+    return [
+        [_sum((row[l] * b[l][j] for l in range(k)
+               if not row[l].is_zero() and not b[l][j].is_zero()), field)
+         for j in range(len(b[0]))]
+        for row in a
+    ]
 
 
 def _mat_transpose(a: Matrix) -> Matrix:
@@ -92,11 +105,7 @@ def _mat_det(a: Matrix, field: FunctionField) -> RatFunc:
 
 
 def _mat_vec(a: Matrix, v: Sequence[RatFunc], field: FunctionField) -> list[RatFunc]:
-    return [
-        sum((a[i][j] * v[j] for j in range(len(v)) if not v[j].is_zero()),
-            field.zero())
-        for i in range(len(a))
-    ]
+    return [_sum((e * vj for e, vj in zip(row, v) if not vj.is_zero()), field) for row in a]
 
 
 def _vec_rank(vectors: Sequence[Sequence[RatFunc]], field: FunctionField) -> int:
@@ -157,17 +166,16 @@ class QuadForm:
 
     def evaluate(self, v: Sequence[RatFunc]) -> RatFunc:
         mv = _mat_vec(self.matrix, v, self.field)
-        return sum((vi * wi for vi, wi in zip(v, mv)), self.field.zero())
+        return _sum((vi * wi for vi, wi in zip(v, mv)), self.field)
 
     def polar_matrix(self) -> Matrix:
+        # M is upper-triangular, so off the diagonal one half of M + M^T is zero
         mt = _mat_transpose(self.matrix)
-        return [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, mt)
-        ]
+        return [[_add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, mt)]
 
     def polar(self, u: Sequence[RatFunc], v: Sequence[RatFunc]) -> RatFunc:
         bv = _mat_vec(self.polar_matrix(), v, self.field)
-        return sum((ui * wi for ui, wi in zip(u, bv)), self.field.zero())
+        return _sum((ui * wi for ui, wi in zip(u, bv)), self.field)
 
     def is_nonsingular(self) -> bool:
         if self.dim % 2:
@@ -231,7 +239,7 @@ class BilForm:
 
     def evaluate(self, u: Sequence[RatFunc], v: Sequence[RatFunc]) -> RatFunc:
         mv = _mat_vec(self.matrix, v, self.field)
-        return sum((ui * wi for ui, wi in zip(u, mv)), self.field.zero())
+        return _sum((ui * wi for ui, wi in zip(u, mv)), self.field)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -345,7 +353,7 @@ def is_isometry(q1: QuadForm, q2: QuadForm, cert: IsometryCert) -> bool:
     delta = _mat_mul(_mat_mul(_mat_transpose(t), q1.matrix, field), t, field)
     for i in range(q1.dim):
         for j in range(q1.dim):
-            delta[i][j] = delta[i][j] - q2.matrix[i][j]
+            delta[i][j] = _add(delta[i][j], -q2.matrix[i][j])
     # alternating: symmetric with zero diagonal (char 2)
     for i in range(q1.dim):
         if not delta[i][i].is_zero():
@@ -518,7 +526,7 @@ def hyperbolicity_certificate(
     h = zero
     cur = w
     for _ in range(t):
-        h = h + cur
+        h = _add(h, cur)
         cur = cur * cur
     phi1 = QuadForm.binary(target, one, w).perp(
         QuadForm.binary(target, one, w).scale(s_e)

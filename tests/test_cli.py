@@ -15,6 +15,7 @@ from katoforms import (
     build_embedding,
     extension_to_json,
     forms,
+    oracle,
     witt,
 )
 from katoforms.cli import DEFAULT_SEED, JobSpec, main, run
@@ -359,6 +360,44 @@ def test_oracle_solve_exit_codes():
     )
     assert code == 2
     assert report["result"]["bounds"]["max_degree"] == 5
+
+
+def test_classify_jobs_with_equal_bounds_build_one_system(monkeypatch):
+    # each job parses its own SearchBounds; the oracle keeps the recently
+    # used bounds values alive, so the second and third job find the system
+    builds = []
+    init = oracle.System.__init__
+
+    def counted(self, *args):
+        builds.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(oracle.System, "__init__", counted)
+    oracle._SYSTEMS.clear()
+    for form in ("x dx", "y^2 dx", "y dx + x dy"):
+        code, report = _run("classify", form=form, field="F2(x,y)", deg=3, dens="1,x")
+        assert report["result"]["class_witness"] == "found"
+    assert builds == [(1, True)]
+
+
+ORACLE_JOBS = [
+    ("classify", {"form": "x dx", "field": "F2(x,y)", "deg": 3, "dens": "1,x"}),
+    ("classify", {"form": "y dx / x", "field": "F2(x,y)", "deg": 4, "dens": "1,x"}),
+    ("oracle-solve", {"form": "x dx", "field": "F2(x)", "deg": 6, "dens": "1"}),
+    ("oracle-solve", {"form": "y dx / x", "field": "F2(x,y)", "deg": 5, "dens": "1,x"}),
+]
+
+
+def test_oracle_reports_are_the_same_cold_and_warm():
+    # a system found in the memo answers byte for byte as a fresh build
+    cold = []
+    for command, options in ORACLE_JOBS:
+        oracle._SYSTEMS.clear()
+        cold.append(json.dumps(_run(command, **options), sort_keys=True))
+    for _ in range(2):
+        warm = [json.dumps(_run(command, **options), sort_keys=True)
+                for command, options in ORACLE_JOBS]
+        assert warm == cold
 
 
 def test_selftest_sections():

@@ -1,5 +1,6 @@
 """The oracle's per-bounds systems: built once per bounds value, shared by
-equal bounds, dropped with them, and invisible in every answer."""
+equal bounds, kept while held or recently used, and invisible in every
+answer."""
 
 import gc
 import hashlib
@@ -173,25 +174,64 @@ def test_one_factorization_per_degree_and_kind(monkeypatch):
         assert not hasattr(system, "rows") and not hasattr(system, "__dict__")
 
 
+def _other_bounds(count):
+    """count distinct bounds values on F2(x), none equal to those of _cases."""
+    f2 = FunctionField.make(2, ["x"])
+    omega = DiffForm.scalar(f2, f2.var(0))
+    return omega, [SearchBounds(20 + i, (f2.const_poly(1),)) for i in range(count)]
+
+
 def test_entry_goes_with_its_bounds():
+    # an entry outlives the bounds it was stored under while their value is
+    # among the RECENT_BOUNDS most recently used, and goes after that
     omega, key = _cases()[0]
     bounds = SearchBounds(*key)
     assert solve_wp_plus_d(omega, bounds) is not None
     assert bounds in oracle._SYSTEMS
     del bounds
     gc.collect()
-    assert len(oracle._SYSTEMS) == 0
+    assert SearchBounds(*key) in oracle._SYSTEMS and len(oracle._SYSTEMS) == 1
+    other, values = _other_bounds(oracle.RECENT_BOUNDS)
+    for i, bounds in enumerate(values):
+        solve_wp_plus_d(other, bounds)
+        assert (SearchBounds(*key) in oracle._SYSTEMS) == (i < oracle.RECENT_BOUNDS - 1)
+    assert len(oracle._SYSTEMS) == oracle.RECENT_BOUNDS
 
 
-def test_concurrent_callers_get_the_same_answers():
-    # threads racing to build one missing system may both build it; the
-    # build is deterministic, so every thread still gets the pinned answers
+def test_each_use_makes_a_value_the_most_recent(monkeypatch):
+    # eviction drops the least recently used value, not the first stored:
+    # a value used again within every RECENT_BOUNDS - 1 others is never
+    # rebuilt, however many values go by
+    builds = []
+    init = oracle.System.__init__
+
+    def counted(self, *args):
+        builds.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(oracle.System, "__init__", counted)
     cases = _cases()
-    shared = {key: SearchBounds(*key) for _, key in cases}
+    key = cases[0][1]
+    runs = 3
+    other, values = _other_bounds(runs * (oracle.RECENT_BOUNDS - 1))
+    for run in range(runs):
+        assert solve_wp_plus_d(cases[0][0], SearchBounds(*key)) is not None
+        for bounds in values[run::runs]:
+            solve_wp_plus_d(other, bounds)
+    assert len(builds) == 1 + len(values)
+    # one more value, and the one used RECENT_BOUNDS values ago goes
+    solve_wp_plus_d(other, SearchBounds(19, (other.field.const_poly(1),)))
+    assert SearchBounds(*key) not in oracle._SYSTEMS
+
+
+def _race(bounds_for):
+    """Four threads, half testing exactness first, answer every case at
+    once; every thread must get the pinned answers."""
+    cases = _cases()
     results = []
 
     def work(exactness_first):
-        results.append(_answers(cases, shared.__getitem__, exactness_first))
+        results.append(_answers(cases, bounds_for, exactness_first))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -205,3 +245,20 @@ def test_concurrent_callers_get_the_same_answers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [(DIGEST, FOUND, EXACT)] * 4
+
+
+def test_concurrent_callers_get_the_same_answers():
+    # threads racing to build one missing system may both build it; the
+    # build is deterministic, so every thread still gets the pinned answers
+    shared = {key: SearchBounds(*key) for _, key in _cases()}
+    _race(shared.__getitem__)
+
+
+@pytest.mark.parametrize("cap", [oracle.RECENT_BOUNDS, 2])
+def test_concurrent_callers_with_fresh_bounds_get_the_same_answers(monkeypatch, cap):
+    # every call makes its own equal bounds, so the threads also race on the
+    # memo's order of use; below the three bounds values of the cases, they
+    # evict each other's entries too
+    monkeypatch.setattr(oracle, "RECENT_BOUNDS", cap)
+    _race(lambda key: SearchBounds(*key))
+    assert len(oracle._SYSTEMS) == min(cap, 3)

@@ -1,5 +1,8 @@
 """Characteristic-2 quadratic/bilinear layer."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from katoforms import (
@@ -28,9 +31,12 @@ from katoforms import (
     pfister_bil,
     pfister_quad,
     quad_kernel_generators,
+    extension_to_json,
     restrict_quad,
     wedge,
 )
+from katoforms.cli import DEFAULT_SEED, JobSpec, run
+from katoforms.fields import RatFunc
 from katoforms.oracle import SearchBounds, artin_schreier_search
 from katoforms.witt import _mat_zero
 
@@ -271,3 +277,26 @@ def test_artin_schreier_solver(f2x):
     assert artin_schreier_search(x * x + x, bounds) == x
     assert artin_schreier_search(f2x.zero(), bounds) == f2x.zero()
     assert artin_schreier_search(x, bounds) is None  # absence within bounds
+
+
+def test_check_hyperbolic_adds_no_zeros_in_witt(monkeypatch, tmp_path, f2xy):
+    # the matrix products, sums, polar matrices and the isometry check add
+    # no zero operand
+    add = RatFunc.__add__
+    zero_adds = Counter()
+
+    def counted(self, other):
+        if self.is_zero() or other.is_zero():
+            caller = sys._getframe(1)
+            if caller.f_code is RatFunc.__sub__.__code__:
+                caller = caller.f_back
+            zero_adds[caller.f_globals["__name__"]] += 1
+        return add(self, other)
+
+    path = tmp_path / "ext_x2.json"
+    path.write_text(extension_to_json(build_adapted(f2xy, AdaptedData(((0, 2),)))))
+    monkeypatch.setattr(RatFunc, "__add__", counted)
+    options = {"ext": str(path), "s": "x+y", "t": 1, "k": "1"}
+    code, _ = run(JobSpec(command="check-hyperbolic", options=options, seed=DEFAULT_SEED))
+    assert code == 0
+    assert "katoforms.witt" not in zero_adds
