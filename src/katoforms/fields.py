@@ -309,14 +309,15 @@ class MultiPoly:
 
     def substitute(self, images: Mapping[int, "RatFunc"], target: FunctionField) -> "RatFunc":
         """Evaluate under x_i -> images[i]; every variable must be mapped."""
-        out = target.zero()
+        # the sum starts from the first term, not from a zero to add it to
+        out = None
         for exp, c in self.terms.items():
             term = target.const(c)
             for i, e in enumerate(exp):
                 if e:
                     term = term * (images[i] ** e)
-            out = out + term
-        return out
+            out = term if out is None else out + term
+        return target.zero() if out is None else out
 
     def __repr__(self) -> str:
         if self.is_zero():

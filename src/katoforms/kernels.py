@@ -9,8 +9,6 @@ right-hand side.
 
 from __future__ import annotations
 
-from operator import mul
-
 # Named in every selftest report and in the benchmark's result files.
 IMPL_NAME = "python (fallback)"
 
@@ -65,11 +63,20 @@ class Factorization:
     gives the unique solution supported on them, whatever rows were chosen.
 
     Each pivot step is kept as (pivot row, inverse of its pivot entry,
-    the rows it eliminated, their multipliers), each pivot as (column, row,
-    the other columns of its reduced row, their entries) for
-    back-substitution, and the rows that never became pivots for the
-    consistency check.  All of it is frozen after construction, so one
-    factorization serves any number of callers.
+    the rows it eliminated, their multipliers), and the rows that never
+    became pivots for the consistency check.  For back-substitution each
+    pivot is kept, last column first, as (column, row, the pivot rows
+    whose reduced row references that column, their entries there): the
+    transpose of the reduced pivot rows, restricted to the pivot columns,
+    since a free column's variable is zero.  All of it is frozen after
+    construction, so one factorization serves any number of callers.
+
+    ``solve`` scatters (Gilbert–Peierls 1988): a pivot row's reduced row
+    has no column left of its own pivot, so walking the pivots from the
+    last column back, each variable is final when reached, and a nonzero
+    one is subtracted along its list.  A zero one costs a single test, so
+    back-substitution costs the pivots plus the entries under the nonzero
+    variables, not the whole reduced system.
     """
 
     __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "rest")
@@ -115,10 +122,16 @@ class Factorization:
             pivots.append((col, r))
             if len(pivots) == n:
                 break
-        back = []
-        for col, r in reversed(pivots):
-            others = tuple(j for j in a[r] if j != col)
-            back.append((col, r, others, tuple(a[r][j] for j in others)))
+        # users[col]: (pivot row, entry) for each reduced pivot row with an
+        # entry in pivot column col, other than col's own
+        users: dict = {col: ([], []) for col, _ in pivots}
+        for col, r in pivots:
+            for j, v in a[r].items():
+                if j != col and j in users:
+                    rows_j, entries_j = users[j]
+                    rows_j.append(r)
+                    entries_j.append(v)
+        back = [(col, r, *map(tuple, users[col])) for col, r in reversed(pivots)]
         pivot_rows = {r for _, r in pivots}
         self.p = p
         self.ncols = ncols
@@ -132,7 +145,8 @@ class Factorization:
         variables zero, or None if infeasible.  ``rhs`` is not modified.
 
         The recorded steps act on ``rhs`` alone; a step whose pivot entry
-        of the right-hand side is zero changes nothing and is skipped.
+        of the right-hand side is zero changes nothing and is skipped, and
+        so is the scatter of a variable that comes out zero.
         """
         if len(rhs) != self.nrows:
             raise ValueError(f"{len(rhs)} right-hand sides for {self.nrows} rows")
@@ -149,8 +163,12 @@ class Factorization:
         if any(b[i] for i in self.rest):
             return None
         x = [0] * self.ncols
-        for col, r, cols, entries in self.pivots:
-            x[col] = (b[r] - sum(map(mul, entries, map(x.__getitem__, cols)))) % p
+        for col, r, rows, entries in self.pivots:
+            v = b[r] % p
+            if v:
+                x[col] = v
+                for i, e in zip(rows, entries):
+                    b[i] -= e * v
         return x
 
 

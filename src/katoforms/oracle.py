@@ -58,11 +58,17 @@ its columns, its row index and the factorization, not the rows.  Per
 call, the target is packed into a right-hand side and the recorded
 elimination is replayed on it alone: the pivots and the arithmetic are
 those of ``gauss_solve`` on the same rows, so the solution is the same.
-A target key in no row (an exponent at or above the radix, or a monomial
-no column reaches) is absent at once, as the empty row it would fill is
-infeasible.  Two threads may both build a missing system; the build is
-deterministic and a system is frozen once built, so either result
-serves.  The memo itself is updated under a lock.
+Packing a coefficient a/b checks its degrees against the radix, divides
+D by b once and forms a * D/b on packed keys, one int add per pair of
+terms, with no product polynomial built.  The replay then costs the
+pivot steps (those whose right-hand entry is zero are skipped), one test
+per row left out of the pivots, and a back-substitution that scatters
+only the nonzero variables; the answer is assembled from the nonzero
+lambda alone.  A target key in no row (an exponent at or above
+the radix, or a monomial no column reaches) is absent at once, as the
+empty row it would fill is infeasible.  Two threads may both build a
+missing system; the build is deterministic and a system is frozen once
+built, so either result serves.  The memo itself is updated under a lock.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -293,15 +299,17 @@ def d_column(idx: tuple[int, ...], cand: Candidate, cof: Cofactors, packing: Pac
 
 class Space:
     """What the bounds fix over one field: the candidates, their distinct
-    denominators, D = L^p, the packing of the row keys and the systems
-    built so far, one per (form degree, with_wp)."""
+    denominators, D = L^p and its degree in each variable, the packing of
+    the row keys and the systems built so far, one per (form degree,
+    with_wp)."""
 
-    __slots__ = ("candidates", "dens", "common", "packing", "systems")
+    __slots__ = ("candidates", "dens", "common", "degrees", "packing", "systems")
 
     def __init__(self, bounds: SearchBounds, field: FunctionField):
         self.candidates = bounds.candidate_terms(field)
         self.dens = list(dict.fromkeys(b for _, _, b in self.candidates))
         self.common = _common_denominator(self.dens)
+        self.degrees = [max(column) for column in zip(*self.common.terms)]
         self.packing = Packing.for_system(self.common, self.candidates)
         self.systems: dict[tuple[int, bool], System] = {}
 
@@ -314,19 +322,37 @@ class Space:
     def target(self, omega: DiffForm) -> Optional[dict]:
         """omega times D as {packed key: coeff}, or None if a coefficient's
         denominator does not divide D or an exponent reaches the radix: no
-        combination of columns is omega then (module docstring)."""
+        combination of columns is omega then (module docstring).
+
+        Each coefficient a/b becomes a * D/b on packed keys, one int add
+        per pair of terms.  Degrees add over a domain, so when b divides D
+        a product exponent reaches the radix exactly when
+        deg_i(a) + deg_i(D) - deg_i(b) does for some i; that is checked
+        once per coefficient, before D is divided by b."""
         packing = self.packing
+        radix = packing.radix
+        p = omega.field.p
         target = {}
         for idx, c in omega.coeffs.items():
+            num = c.num.terms
+            degrees = zip(zip(*num), self.degrees, zip(*c.den.terms))
+            if any(max(a) + top - max(b) >= radix for a, top, b in degrees):
+                return None
             try:
-                cofactor = poly_exact_div(self.common, c.den)
+                over_b = packing.terms(poly_exact_div(self.common, c.den).terms)
             except ValueError:
                 return None
             at = packing.slot(idx)
-            for exp, v in (c.num * cofactor).terms.items():
-                if max(exp) >= packing.radix:
-                    return None
-                target[at + packing.exp(exp)] = v
+            product: dict = {}
+            for exp, u in num.items():
+                shift = at + packing.exp(exp)
+                for key, v in over_b.items():
+                    key += shift
+                    product[key] = product.get(key, 0) + u * v
+            for key, v in product.items():
+                v %= p
+                if v:
+                    target[key] = v
         return target
 
 
@@ -438,10 +464,10 @@ def solve_wp_plus_d(omega: DiffForm, bounds: SearchBounds) -> Optional[Certifica
         return None
     u: dict = {}
     eta: dict = {}
-    for lam, (kind, idx, cand) in zip(sol, columns):
-        if lam % field.p == 0:
-            continue
-        accumulate(u if kind == 0 else eta, idx, _candidate_value(field, cand, lam))
+    # sol is reduced mod p: its nonzero entries are the columns in the answer
+    for j in itertools.compress(range(len(sol)), sol):
+        kind, idx, cand = columns[j]
+        accumulate(u if kind == 0 else eta, idx, _candidate_value(field, cand, sol[j]))
     cert = Certificate(u=DiffForm(field, n, u), eta=DiffForm(field, n - 1, eta), field=field)
     if not verify_certificate(omega, DiffForm.zero(field, n), cert):
         raise CertificateFailed("oracle solution failed to verify")

@@ -180,6 +180,51 @@ def test_factorization_replays_every_right_hand_side():
         empty_row.solve([])
 
 
+def test_factorization_matches_dense_reference_on_large_sparse_systems():
+    # systems up to 40 x 60, where reduced pivot rows reach many later
+    # pivot columns and a wrong scatter in back-substitution would show:
+    # rank-deficient, infeasible and mostly-free systems, each solved for
+    # several right-hand sides against the dense reference
+    gen = random.Random(41)
+    kinds = {"deficient": 0, "infeasible": 0, "free": 0, "filled": 0}
+    for _ in range(40):
+        p = gen.choice([2, 3, 5])
+        n = gen.randint(20, 40)
+        m = gen.randint(30, 60)
+        k = gen.randint(1, min(n, m))
+        density = gen.choice([0.05, 0.15, 0.4])
+        live = gen.sample(range(m), gen.randint(k, m) if gen.random() < 0.7 else k)
+        base = [{j: gen.randrange(1, p) for j in live if gen.random() < density} for _ in range(k)]
+        dense = []
+        for _ in range(n):
+            row = [0] * m
+            for b in gen.sample(base, gen.randint(1, min(3, k))):
+                c = gen.randrange(1, p)
+                for j, v in b.items():
+                    row[j] = (row[j] + c * v) % p
+            dense.append(row)
+        rows = [{j: v + p * gen.randint(-1, 1) for j, v in enumerate(row) if v} for row in dense]
+        fac = Factorization(rows, p, m)
+        state = tuple(getattr(fac, name) for name in Factorization.__slots__)
+        rhss = []
+        for _ in range(2):
+            x0 = [gen.randrange(p) for _ in range(m)]
+            rhss.append([sum(c * x for c, x in zip(row, x0)) for row in dense])
+        rhss.append([gen.randrange(p) for _ in range(n)])
+        for rhs in rhss:
+            before = list(rhs)
+            expected = _dense_gauss_jordan(dense, rhs, p)
+            assert fac.solve(rhs) == expected == gauss_solve(rows, rhs, p, m)
+            assert rhs == before
+            kinds["infeasible"] += expected is None
+        assert tuple(getattr(fac, name) for name in Factorization.__slots__) == state
+        rank = len(fac.pivots)
+        kinds["deficient"] += rank < min(n, m)
+        kinds["free"] += m - rank >= m // 2
+        kinds["filled"] += max((len(rows) for _, _, rows, _ in fac.pivots), default=0) >= 5
+    assert all(count >= 8 for count in kinds.values()), kinds
+
+
 def test_wp_plus_d_examples(f2x):
     x = f2x.var(0)
     dx = DiffForm.basis(f2x, (0,))

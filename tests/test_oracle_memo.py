@@ -22,6 +22,7 @@ from katoforms import (
     solve_wp_plus_d,
     wp,
 )
+from katoforms.fields import poly_exact_div
 from katoforms.sexpr import print_certificate
 
 # pinned from the oracle that rebuilt its system on every call
@@ -262,3 +263,84 @@ def test_concurrent_callers_with_fresh_bounds_get_the_same_answers(monkeypatch, 
     monkeypatch.setattr(oracle, "RECENT_BOUNDS", cap)
     _race(lambda key: SearchBounds(*key))
     assert len(oracle._SYSTEMS) == min(cap, 3)
+
+
+# -- packed targets -------------------------------------------------------------------
+
+
+def _reference_target(space, omega):
+    """omega times D packed, formed on exponent tuples as a product
+    polynomial and checked against the radix term by term."""
+    packing = space.packing
+    target = {}
+    for idx, c in omega.coeffs.items():
+        try:
+            cofactor = poly_exact_div(space.common, c.den)
+        except ValueError:
+            return None
+        for exp, v in (c.num * cofactor).terms.items():
+            if max(exp) >= packing.radix:
+                return None
+            target[packing.slot(idx) + packing.exp(exp)] = v
+    return target
+
+
+def test_packed_targets_match_the_product_on_exponents():
+    for omega, key in _cases():
+        space = oracle.Space(SearchBounds(*key), omega.field)
+        assert space.target(omega) == _reference_target(space, omega)
+
+
+def test_target_outside_the_bounds_is_none(f3xy):
+    x, y = f3xy.var_poly(0), f3xy.var_poly(1)
+    one = f3xy.const_poly(1)
+    space = oracle.Space(SearchBounds(2, (one, x, x + y)), f3xy)
+    radix = space.packing.radix
+    top = space.common.degree_in(0)
+    # a denominator that does not divide D = (x (x + y))^3
+    for den in (x ** 4, y, (x + y) ** 2 * y, x + one):
+        assert space.target(DiffForm.scalar(f3xy, ratfunc_normalize(one, den))) is None
+    # deg_x(a) + deg_x(D/b) reaches the radix; one below it packs
+    for den in (one, x, x + y):
+        e = radix - top + den.degree_in(0)
+        over = ratfunc_normalize(x ** e + y, den)
+        assert space.target(DiffForm.from_coeffs(f3xy, 1, {(1,): over})) is None
+        below = DiffForm.from_coeffs(f3xy, 1, {(1,): ratfunc_normalize(x ** (e - 1) + y, den)})
+        target = space.target(below)
+        assert target is not None and target == _reference_target(space, below)
+
+
+# -- warm replay at a larger bound ------------------------------------------------------
+
+# pinned from the oracle that divided D by each target denominator on every
+# call and back-substituted over every entry of the reduced pivot rows
+DEGREE_20_DIGEST = "a23d3d8c1486f898b23a9f32d6d642d0eb7b13e428d4ccfb24ca03c4c344bee4"
+
+
+def test_warm_certificates_at_degree_20_match_cold():
+    # F3(x,y) at degree bound 20 (1,482 columns): each target is solved
+    # cold, with the memo emptied, then twice warm on one system
+    gen = random.Random(2020)
+    f3 = FunctionField.make(3, ["x", "y"])
+    x, y = f3.var_poly(0), f3.var_poly(1)
+    dens = (f3.const_poly(1), x, y, x + y)
+    bounds = SearchBounds(20, dens)
+    cases = []
+    for _ in range(3):
+        cases.append(d(_span_form(f3, 0, 20, dens, gen)) + wp(_span_form(f3, 1, 20, dens, gen)))
+    cases.append(d(_span_form(f3, 0, 20, dens, gen)))
+    cases.append(cases[0] + dlog(f3.var(0)).scale(f3.var(1)))
+    cases.append(_span_form(f3, 1, 23, dens, gen))
+
+    def text(omega):
+        cert = solve_wp_plus_d(omega, bounds)
+        return print_certificate(cert) if cert is not None else "absent"
+
+    cold = []
+    for omega in cases:
+        oracle._SYSTEMS.clear()
+        cold.append(text(omega))
+    for _ in range(2):
+        assert [text(omega) for omega in cases] == cold
+    assert [t != "absent" for t in cold] == [True, True, True, True, False, False]
+    assert hashlib.sha256("\n".join(cold).encode()).hexdigest() == DEGREE_20_DIGEST

@@ -281,7 +281,9 @@ def test_artin_schreier_solver(f2x):
 
 def test_check_hyperbolic_adds_no_zeros_in_witt(monkeypatch, tmp_path, f2xy):
     # the matrix products, sums, polar matrices and the isometry check add
-    # no zero operand
+    # no zero operand, and neither does restricting a form, which sums each
+    # substituted polynomial from its first term (starting each sum from
+    # zero made 20 of the run's 50 additions, all in fields.substitute)
     add = RatFunc.__add__
     zero_adds = Counter()
 
@@ -299,4 +301,4 @@ def test_check_hyperbolic_adds_no_zeros_in_witt(monkeypatch, tmp_path, f2xy):
     options = {"ext": str(path), "s": "x+y", "t": 1, "k": "1"}
     code, _ = run(JobSpec(command="check-hyperbolic", options=options, seed=DEFAULT_SEED))
     assert code == 0
-    assert "katoforms.witt" not in zero_adds
+    assert zero_adds == Counter()
