@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import FieldMismatch, ZeroDenominator
-from .kernels import poly_add, poly_mul
+from .kernels import poly_add, poly_mul, poly_exact_div as kernel_exact_div
 
 
 def _is_prime(n: int) -> bool:
@@ -341,26 +341,13 @@ class MultiPoly:
 
 
 def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Quotient a/b when b divides a; raises ValueError otherwise."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
+    """Quotient a/b when b divides a; raises ValueError otherwise
+    (``kernels.poly_exact_div``), and ZeroDivisionError when b is zero, the
+    constant with no inverse."""
     field = a.field
-    p = field.p
     if b.is_const():
         return a.scale(field.prime.inv(b.const_value()))
-    lead_b, lc_b = b.leading()
-    inv_lcb = field.prime.inv(lc_b)
-    quo: dict = {}
-    rem = a
-    while not rem.is_zero():
-        lead_r, lc_r = rem.leading()
-        q_exp = tuple(er - eb for er, eb in zip(lead_r, lead_b))
-        if any(e < 0 for e in q_exp):
-            raise ValueError("inexact polynomial division")
-        q_c = (lc_r * inv_lcb) % p
-        quo[q_exp] = q_c
-        rem = rem - MultiPoly(field, {q_exp: q_c}) * b
-    return MultiPoly(field, quo)
+    return MultiPoly(field, kernel_exact_div(a.terms, b.terms, field.p))
 
 
 def _main_var(a: MultiPoly, b: MultiPoly) -> Optional[int]:

@@ -1,13 +1,20 @@
 """The hot kernels: sparse F_p polynomial arithmetic and Gaussian elimination.
 
 Polynomial terms are plain dicts mapping exponent tuples to coefficients
-in ``1..p-1``.  Zero coefficients are never stored.  A linear system is
-sparse too: each row a dict mapping column indices to coefficients.  Its
-elimination is recorded once (``Factorization``) and replayed for each
-right-hand side.
+in ``1..p-1``.  Zero coefficients are never stored.  Exact division
+(``poly_exact_div``) keeps its remainder in one dict and takes the leading
+term off a heap, so each step costs the divisor's other terms, not a new
+remainder.  A linear system is sparse too: each row a dict mapping column
+indices to coefficients.  Its elimination is recorded once
+(``Factorization``) and replayed for each right-hand side, given as a dict
+``{row: value}``: a replay runs only the steps its nonzero rows reach and
+returns ``{column: value}``.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from operator import add, lt, neg, sub
 
 # Named in every selftest report and in the benchmark's result files.
 IMPL_NAME = "python (fallback)"
@@ -47,6 +54,62 @@ def poly_mul(a: dict, b: dict, p: int) -> dict:
     return out
 
 
+def poly_exact_div(a: dict, b: dict, p: int) -> dict:
+    """Quotient of two sparse term dicts over F_p when b divides a; raises
+    ValueError when it does not, and ZeroDivisionError when b is empty.
+
+    The exact quotient is unique, so any monomial order gives it; this one
+    uses graded lex, the order of ``MultiPoly.leading``.  A monomial
+    divisor shifts every term at once.  Otherwise the remainder is one
+    dict; its leading term comes off a heap keyed on the negated degree
+    and exponent (Johnson 1974; Monagan–Pearce 2007), and each step
+    subtracts the quotient term times the divisor's other terms only.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        inv = pow(cb, p - 2, p)
+        out = {}
+        for e, c in a.items():
+            if any(map(lt, e, eb)):
+                raise ValueError("inexact polynomial division")
+            out[tuple(map(sub, e, eb))] = c * inv % p
+        return out
+    lead = max(b, key=lambda e: (sum(e), e))
+    inv = pow(b[lead], p - 2, p)
+    rest = [(e, c) for e, c in b.items() if e != lead]
+    rem = dict(a)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = rem.pop(e, 0)
+        if not c:
+            # a stale entry: the term cancelled, or a duplicate came off before
+            continue
+        if any(map(lt, e, lead)):
+            raise ValueError("inexact polynomial division")
+        q = tuple(map(sub, e, lead))
+        qc = c * inv % p
+        quo[q] = qc
+        # every new term is below the leading one, so it is still to come off
+        for f, v in rest:
+            e = tuple(map(add, q, f))
+            s = rem.get(e)
+            if s is None:
+                rem[e] = -qc * v % p
+                heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+            else:
+                s = (s - qc * v) % p
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+    return quo
+
+
 class Factorization:
     """The elimination of a sparse system ``rows * x = rhs`` over F_p,
     recorded once so that each right-hand side only replays it.
@@ -62,24 +125,32 @@ class Factorization:
     are therefore the leftmost independent ones, and back-substitution
     gives the unique solution supported on them, whatever rows were chosen.
 
-    Each pivot step is kept as (pivot row, inverse of its pivot entry,
-    the rows it eliminated, their multipliers), and the rows that never
-    became pivots for the consistency check.  For back-substitution each
-    pivot is kept, last column first, as (column, row, the pivot rows
-    whose reduced row references that column, their entries there): the
-    transpose of the reduced pivot rows, restricted to the pivot columns,
-    since a free column's variable is zero.  All of it is frozen after
-    construction, so one factorization serves any number of callers.
+    Each pivot step is kept, in step order, as (pivot row, inverse of its
+    pivot entry, the rows it eliminated, their multipliers), and
+    ``step_of[i]`` is the step whose pivot row is i, or None for a row that
+    never became a pivot.  For back-substitution each step also keeps
+    (its column, its pivot row, the pivot rows whose reduced row
+    references that column, their entries there): the transpose of the
+    reduced pivot rows, restricted to the pivot columns, since a free
+    column's variable is zero.  All of it is frozen after construction,
+    so one factorization serves any number of callers.
 
-    ``solve`` scatters (Gilbert–Peierls 1988): a pivot row's reduced row
-    has no column left of its own pivot, so walking the pivots from the
-    last column back, each variable is final when reached, and a nonzero
-    one is subtracted along its list.  A zero one costs a single test, so
-    back-substitution costs the pivots plus the entries under the nonzero
-    variables, not the whole reduced system.
+    ``solve`` takes the right-hand side as ``{row: value}`` and replays
+    only what its nonzero rows reach (Gilbert–Peierls 1988).  A step
+    changes the right-hand side only through its pivot row, and it writes
+    only to rows that become pivots at later steps, so the steps reached
+    from the nonzero rows, taken in step order off a heap, are all the
+    forward pass needs; a reached step whose pivot entry comes out zero
+    writes nothing.  Only the rows it touched can break consistency.
+    Back-substitution scatters: a pivot row's reduced row has no column
+    left of its own pivot, so walking the reached pivots from the last
+    step back, each variable is final when reached, and a nonzero one is
+    subtracted along its list, which reaches the pivots of earlier steps.
+    So a replay costs the steps and entries the target reaches, not the
+    whole system.
     """
 
-    __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "rest")
+    __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "step_of")
 
     def __init__(self, rows: list, p: int, ncols: int):
         n = len(rows)
@@ -131,52 +202,90 @@ class Factorization:
                     rows_j, entries_j = users[j]
                     rows_j.append(r)
                     entries_j.append(v)
-        back = [(col, r, *map(tuple, users[col])) for col, r in reversed(pivots)]
-        pivot_rows = {r for _, r in pivots}
+        step_of: list = [None] * n
+        for s, (_, r) in enumerate(pivots):
+            step_of[r] = s
         self.p = p
         self.ncols = ncols
         self.nrows = n
         self.steps = tuple(steps)
-        self.pivots = tuple(back)
-        self.rest = tuple(i for i in range(n) if i not in pivot_rows)
+        self.pivots = tuple((col, r, *map(tuple, users[col])) for col, r in pivots)
+        self.step_of = tuple(step_of)
 
-    def solve(self, rhs: list) -> list | None:
-        """One solution for the right-hand side ``rhs`` (read mod p), free
-        variables zero, or None if infeasible.  ``rhs`` is not modified.
-
-        The recorded steps act on ``rhs`` alone; a step whose pivot entry
-        of the right-hand side is zero changes nothing and is skipped, and
-        so is the scatter of a variable that comes out zero.
-        """
-        if len(rhs) != self.nrows:
-            raise ValueError(f"{len(rhs)} right-hand sides for {self.nrows} rows")
+    def solve(self, rhs: dict) -> dict | None:
+        """One solution ``{column: value}`` for the right-hand side
+        ``{row: value}`` (values read mod p), its values nonzero and free
+        variables zero, or None if infeasible.  ``rhs`` is not modified;
+        a row outside the system raises ValueError."""
         p = self.p
-        b = [v % p for v in rhs]
-        for r, inv, eliminated, factors in self.steps:
-            br = b[r]
+        nrows = self.nrows
+        steps = self.steps
+        step_of = self.step_of
+        b = {}
+        reached = []
+        for i, v in rhs.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"right-hand side at row {i} of {nrows}")
+            v %= p
+            if v:
+                b[i] = v
+                s = step_of[i]
+                if s is not None:
+                    reached.append(s)
+        heapify(reached)
+        # b holds unreduced values, reduced where they are read
+        while reached:
+            r, inv, eliminated, factors = steps[heappop(reached)]
+            br = b[r] * inv % p
+            b[r] = br
             if not br:
                 continue
-            if inv != 1:
-                br = b[r] = (br * inv) % p
             for i, f in zip(eliminated, factors):
-                b[i] = (b[i] - f * br) % p
-        if any(b[i] for i in self.rest):
+                v = b.get(i)
+                if v is None:
+                    b[i] = -f * br
+                    s = step_of[i]
+                    if s is not None:
+                        heappush(reached, s)
+                else:
+                    b[i] = v - f * br
+        if any(v % p for i, v in b.items() if step_of[i] is None):
             return None
-        x = [0] * self.ncols
-        for col, r, rows, entries in self.pivots:
+        # max-heap of the reached steps, last first
+        reached = [-s for i in b if (s := step_of[i]) is not None]
+        heapify(reached)
+        pivots = self.pivots
+        x = {}
+        while reached:
+            col, r, rows, entries = pivots[-heappop(reached)]
             v = b[r] % p
-            if v:
-                x[col] = v
-                for i, e in zip(rows, entries):
-                    b[i] -= e * v
+            if not v:
+                continue
+            x[col] = v
+            for i, e in zip(rows, entries):
+                w = b.get(i)
+                if w is None:
+                    b[i] = -e * v
+                    heappush(reached, -step_of[i])
+                else:
+                    b[i] = w - e * v
         return x
 
 
 def gauss_solve(rows: list, rhs: list, p: int, ncols: int) -> list | None:
     """One solution of ``rows * x = rhs`` over F_p, or None if infeasible:
-    the ``Factorization`` of the rows, solved for ``rhs``.
+    the ``Factorization`` of the rows, solved for ``rhs`` as ``{row: value}``
+    and returned as a list.
 
     Free variables are set to zero, so underdetermined systems still return
     a witness of length ``ncols``.  Inputs are not modified.
     """
-    return Factorization(rows, p, ncols).solve(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+    sol = Factorization(rows, p, ncols).solve(dict(enumerate(rhs)))
+    if sol is None:
+        return None
+    x = [0] * ncols
+    for j, v in sol.items():
+        x[j] = v
+    return x

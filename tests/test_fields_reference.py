@@ -1,4 +1,14 @@
-"""``RatFunc`` arithmetic against the schoolbook reference: ``+``, ``-``,
+"""Field arithmetic against schoolbook references.
+
+Exact division: ``kernels.poly_exact_div`` (and ``fields.poly_exact_div``
+over it) returns the quotient that schoolbook division of ``MultiPoly``
+values finds, leading term by leading term, and raises ValueError exactly
+when it does.  The divisors are drawn with squared factors, as monomials,
+as constants and free, in up to three variables, and the dividends as
+multiples of them, multiples with one term added, zero, of low degree and
+free.
+
+``RatFunc`` arithmetic against the schoolbook reference: ``+``, ``-``,
 ``*``, ``scale``, ``inv``, ``/`` and ``partial`` equal ``ratfunc_normalize``
 of the cross-multiplied numerator and denominator (for ``partial``, of
 ``(a'b - ab')/b^2``).  The canonical form is unique, so the two agree term
@@ -24,6 +34,28 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from katoforms import FunctionField, MultiPoly, partial, ratfunc_normalize  # noqa: E402
+from katoforms import fields, kernels  # noqa: E402
+
+
+def _reference_exact_div(a, b):
+    """Schoolbook division of a by b, leading term by leading term."""
+    field = a.field
+    p = field.p
+    if b.is_const():
+        return a.scale(field.prime.inv(b.const_value()))
+    lead_b, lc_b = b.leading()
+    inv_lcb = field.prime.inv(lc_b)
+    quo: dict = {}
+    rem = a
+    while not rem.is_zero():
+        lead_r, lc_r = rem.leading()
+        q_exp = tuple(er - eb for er, eb in zip(lead_r, lead_b))
+        if any(e < 0 for e in q_exp):
+            raise ValueError("inexact polynomial division")
+        q_c = (lc_r * inv_lcb) % p
+        quo[q_exp] = q_c
+        rem = rem - MultiPoly(field, {q_exp: q_c}) * b
+    return MultiPoly(field, quo)
 
 
 def _poly(draw, fld, nonzero=False, top=2):
@@ -144,3 +176,78 @@ def test_inverse_and_quotient_match_reference(case):
     a, b, c, d = f.num, f.den, g.num, g.den
     assert f.inv() == ratfunc_normalize(b, a)
     assert f / g == ratfunc_normalize(a * d, b * c)
+
+
+def _kernel_div(a, b):
+    return MultiPoly(a.field, kernels.poly_exact_div(a.terms, b.terms, a.field.p))
+
+
+def test_exact_division_by_divisors_of_higher_degree():
+    # a constant or low-degree dividend over a divisor of higher degree:
+    # the first quotient exponent is already negative, so each raises at
+    # once, and each product divides back
+    f5 = FunctionField.make(5, ["x"])
+    g = FunctionField.make(3, ["x", "y"])
+    cases = [
+        (f5.const_poly(2), MultiPoly(f5, {(1,): 3, (0,): 4, (4,): 3})),
+        (MultiPoly(g, {(3, 0): 1, (0, 3): 1}), MultiPoly(g, {(3, 3): 1, (0, 0): 1})),
+        (MultiPoly(g, {(1, 0): 1}), MultiPoly(g, {(0, 2): 1, (1, 0): 1})),
+    ]
+    for a, b in cases:
+        for div in (_reference_exact_div, fields.poly_exact_div, _kernel_div):
+            with pytest.raises(ValueError):
+                div(a, b)
+            assert div(a * b, b) == a
+    with pytest.raises(ZeroDivisionError):
+        kernels.poly_exact_div({(1,): 1}, {}, 5)
+    with pytest.raises(ZeroDivisionError):
+        fields.poly_exact_div(f5.var_poly(0), f5.zero_poly())
+
+
+@st.composite
+def divisions(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    fld = FunctionField.make(p, ["x", "y", "z"][: draw(st.integers(1, 3))])
+    shape = draw(st.sampled_from(["squared", "monomial", "constant", "free"]))
+    if shape == "squared":
+        s = _poly(draw, fld, nonzero=True)
+        b = s * s * _poly(draw, fld, nonzero=True)
+    elif shape == "monomial":
+        b = _poly(draw, fld, nonzero=True)
+        b = MultiPoly(fld, dict([next(iter(b.terms.items()))]))
+    elif shape == "constant":
+        b = fld.const_poly(draw(st.integers(1, p - 1)))
+    else:
+        b = _poly(draw, fld, nonzero=True)
+    dividend = draw(st.sampled_from(["multiple", "plus-term", "zero", "low", "free"]))
+    if dividend == "multiple":
+        a = _poly(draw, fld) * b
+    elif dividend == "plus-term":
+        a = _poly(draw, fld) * b + _poly(draw, fld, nonzero=True, top=3)
+    elif dividend == "zero":
+        a = fld.zero_poly()
+    elif dividend == "low":
+        # of lower degree than most divisors, constants included
+        a = _poly(draw, fld, nonzero=True, top=1)
+    else:
+        a = _poly(draw, fld, top=4)
+    return a, b
+
+
+def _outcome(div, a, b):
+    try:
+        return div(a, b)
+    except ValueError:
+        return "inexact"
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(divisions())
+def test_exact_division_matches_schoolbook_reference(case):
+    a, b = case
+    want = _reference_exact_div(a * b, b)
+    # a itself: exact when b divides it, inexact otherwise, in each
+    expected = _outcome(_reference_exact_div, a, b)
+    for div in (fields.poly_exact_div, _kernel_div):
+        assert div(a * b, b) == want == a
+        assert _outcome(div, a, b) == expected

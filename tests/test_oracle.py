@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import weakref
 
 import pytest
 
@@ -126,11 +125,26 @@ def test_gauss_solve_matches_dense_reference():
     assert all(count >= 20 for count in kinds.values()), kinds
 
 
+def _as_dict(x):
+    """A dense solution as Factorization.solve returns it: its nonzero entries."""
+    return None if x is None else {j: v for j, v in enumerate(x) if v}
+
+
+def _sparse_rhs(rhs, gen):
+    """A dense right-hand side as {row: value}: every nonzero entry, and
+    some entries that are 0 mod p, stored as they are."""
+    return {i: v for i, v in enumerate(rhs) if v or gen.random() < 0.3}
+
+
 def test_factorization_replays_every_right_hand_side():
-    # one factorization per system, solved for many right-hand sides: each
-    # answer is gauss_solve's and the dense reference's, and solving
-    # modifies neither the rows, the right-hand side nor the factorization
+    # one factorization per system, solved for many right-hand sides given
+    # as {row: value}: each answer is gauss_solve's and the dense
+    # reference's, and solving modifies neither the rows, the right-hand
+    # side nor the factorization
     gen = random.Random(23)
+    # the rows kept in a sparse right-hand side are drawn apart, so that
+    # the systems are those drawn from seed 23 alone
+    keep = random.Random(29)
     kinds = {"feasible": 0, "infeasible": 0, "zero": 0}
     for _ in range(300):
         p = gen.choice([2, 3, 5])
@@ -157,27 +171,35 @@ def test_factorization_replays_every_right_hand_side():
         for _ in range(3):
             rhss.append([gen.randrange(-p, 2 * p) for _ in range(n)])
         answers = []
-        for rhs in rhss:
-            before = list(rhs)
+        sparse = [_sparse_rhs(rhs, keep) for rhs in rhss]
+        for rhs, sparse_rhs in zip(rhss, sparse):
+            before = dict(sparse_rhs)
             expected = _dense_gauss_jordan(dense, rhs, p) if n else [0] * m
-            got = fac.solve(rhs)
-            assert got == expected == gauss_solve(rows, rhs, p, m)
-            assert rhs == before
+            got = fac.solve(sparse_rhs)
+            assert got == _as_dict(expected)
+            assert expected == gauss_solve(rows, rhs, p, m)
+            assert sparse_rhs == before
             answers.append(got)
             kinds["zero"] += not any(rhs)
             kinds["feasible"] += got is not None and any(v % p for v in rhs)
             kinds["infeasible"] += got is None
-        assert [fac.solve(rhs) for rhs in rhss] == answers
+        assert [fac.solve(rhs) for rhs in sparse] == answers
         assert rows == snapshot
         assert tuple(getattr(fac, name) for name in Factorization.__slots__) == state
     assert all(count >= 100 for count in kinds.values()), kinds
     # the empty system, and an empty row
-    assert Factorization([], 3, 2).solve([]) == [0, 0]
-    assert Factorization([], 5, 0).solve([]) == []
+    assert Factorization([], 3, 2).solve({}) == {}
+    assert Factorization([], 5, 0).solve({}) == {}
     empty_row = Factorization([{}], 3, 2)
-    assert empty_row.solve([0]) == [0, 0] and empty_row.solve([1]) is None
+    assert empty_row.solve({}) == {} and empty_row.solve({0: 3}) == {}
+    assert empty_row.solve({0: 1}) is None
+    # a row outside the system is refused, as is a dense right-hand side
+    # of the wrong length
+    for outside in ({1: 0}, {-1: 1}):
+        with pytest.raises(ValueError):
+            empty_row.solve(outside)
     with pytest.raises(ValueError):
-        empty_row.solve([])
+        gauss_solve([{}], [], 3, 2)
 
 
 def test_factorization_matches_dense_reference_on_large_sparse_systems():
@@ -186,6 +208,7 @@ def test_factorization_matches_dense_reference_on_large_sparse_systems():
     # rank-deficient, infeasible and mostly-free systems, each solved for
     # several right-hand sides against the dense reference
     gen = random.Random(41)
+    keep = random.Random(43)
     kinds = {"deficient": 0, "infeasible": 0, "free": 0, "filled": 0}
     for _ in range(40):
         p = gen.choice([2, 3, 5])
@@ -212,10 +235,12 @@ def test_factorization_matches_dense_reference_on_large_sparse_systems():
             rhss.append([sum(c * x for c, x in zip(row, x0)) for row in dense])
         rhss.append([gen.randrange(p) for _ in range(n)])
         for rhs in rhss:
-            before = list(rhs)
+            sparse_rhs = _sparse_rhs(rhs, keep)
+            before = dict(sparse_rhs)
             expected = _dense_gauss_jordan(dense, rhs, p)
-            assert fac.solve(rhs) == expected == gauss_solve(rows, rhs, p, m)
-            assert rhs == before
+            assert fac.solve(sparse_rhs) == _as_dict(expected)
+            assert expected == gauss_solve(rows, rhs, p, m)
+            assert sparse_rhs == before
             kinds["infeasible"] += expected is None
         assert tuple(getattr(fac, name) for name in Factorization.__slots__) == state
         rank = len(fac.pivots)
@@ -223,6 +248,59 @@ def test_factorization_matches_dense_reference_on_large_sparse_systems():
         kinds["free"] += m - rank >= m // 2
         kinds["filled"] += max((len(rows) for _, _, rows, _ in fac.pivots), default=0) >= 5
     assert all(count >= 8 for count in kinds.values()), kinds
+
+
+class _ReadSteps(tuple):
+    """A factorization's steps that record the index of every read."""
+
+    def __new__(cls, steps, reads):
+        self = super().__new__(cls, steps)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, s):
+        self.reads.append(s)
+        return super().__getitem__(s)
+
+
+def test_two_key_target_reads_only_the_steps_it_reaches(monkeypatch):
+    # F3(x,y) at degree bound 20, dens 1, x, y, x + y: 852 pivot steps.
+    # A replay reads each step at most once, in step order, and only steps
+    # in the reach of the target's rows: the pivot steps of those rows and,
+    # through the rows each step eliminates, of the rows it writes to
+    import katoforms.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_SYSTEMS", {})
+    f3 = FunctionField.make(3, ["x", "y"])
+    x, y = f3.var(0), f3.var(1)
+    bounds = SearchBounds(20, tuple(c.num for c in (f3.one(), x, y, x + y)))
+    dx, dy = DiffForm.basis(f3, (0,)), DiffForm.basis(f3, (1,))
+    # found, absent with keys in rows, and absent over a denominator in D
+    targets = [dx, dy.scale(x), dx.scale((x + y).inv())]
+    expected = [solve_wp_plus_d(omega, bounds) for omega in targets]
+    assert [cert is not None for cert in expected] == [True, False, False]
+    space = oracle._spaces(bounds)[f3]
+    system = space.system(1, True)
+    fac = system.factorization
+    steps, step_of = fac.steps, fac.step_of
+    assert len(steps) == 852
+    reads = []
+    monkeypatch.setattr(fac, "steps", _ReadSteps(steps, reads))
+    for omega, cert in zip(targets, expected):
+        rhs = system.rhs(space.target(omega))
+        assert len(rhs) <= 3
+        reach = set()
+        stack = [step_of[i] for i in rhs if step_of[i] is not None]
+        while stack:
+            s = stack.pop()
+            if s not in reach:
+                reach.add(s)
+                stack.extend(t for i in steps[s][2] if (t := step_of[i]) is not None)
+        assert len(reach) * 50 < len(steps)
+        reads.clear()
+        got = solve_wp_plus_d(omega, bounds)
+        assert reads == sorted(set(reads)) and set(reads) <= reach
+        assert got == cert
 
 
 def test_wp_plus_d_examples(f2x):
@@ -347,7 +425,7 @@ def test_denominator_outside_lp_is_absent_without_a_solve(monkeypatch):
             return super().solve(rhs)
 
     monkeypatch.setattr(oracle, "Factorization", Counted)
-    monkeypatch.setattr(oracle, "_SYSTEMS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(oracle, "_SYSTEMS", {})
     f3 = FunctionField.make(3, ["x"])
     x = f3.var(0)
     g = FunctionField.make(3, ["x", "y"])
