@@ -30,7 +30,6 @@ construction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BadExponent, DegreeMismatch
@@ -46,15 +45,18 @@ from .forms import (
     sp_iter,
     wp,
 )
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Witness pair: lhs - rhs = wp(u) + d(eta) in the ambient field."""
 
-    u: DiffForm
-    eta: DiffForm
-    field: FunctionField
+    __slots__ = ("u", "eta", "field")
+
+    def __init__(self, u: DiffForm, eta: DiffForm, field: FunctionField) -> None:
+        set_field(self, "u", u)
+        set_field(self, "eta", eta)
+        set_field(self, "field", field)
 
     @staticmethod
     def trivial(field: FunctionField, degree: int) -> "Certificate":
@@ -268,8 +270,7 @@ def _reduce(
         acc.add_level(1, inner.eta)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """Certified decomposition of (prod b^k) (d v)^[p^t].
 
     levels maps j to w_j, standing for (prod b^(k mod p^j)) (d w_j)^[p^j];
@@ -282,13 +283,25 @@ class ReductionResult:
     the plain single-(q, omega) shape.
     """
 
-    bs: tuple[RatFunc, ...]
-    ks: tuple[int, ...]
-    t: int
-    source_form: DiffForm
-    levels: dict[int, DiffForm]
-    linear_parts: tuple[tuple[int, DiffForm], ...]
-    certificate: Certificate
+    __slots__ = ("bs", "ks", "t", "source_form", "levels", "linear_parts", "certificate")
+
+    def __init__(
+        self,
+        bs: tuple[RatFunc, ...],
+        ks: tuple[int, ...],
+        t: int,
+        source_form: DiffForm,
+        levels: dict[int, DiffForm],
+        linear_parts: tuple[tuple[int, DiffForm], ...],
+        certificate: Certificate,
+    ) -> None:
+        set_field(self, "bs", bs)
+        set_field(self, "ks", ks)
+        set_field(self, "t", t)
+        set_field(self, "source_form", source_form)
+        set_field(self, "levels", levels)
+        set_field(self, "linear_parts", linear_parts)
+        set_field(self, "certificate", certificate)
 
     @property
     def field(self) -> FunctionField:

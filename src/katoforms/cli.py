@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional
 
 from . import sexpr
@@ -74,6 +73,7 @@ from .generators import (
 )
 from .kernels import IMPL_NAME
 from .oracle import SearchBounds, exhaustive_exactness, solve_wp_plus_d
+from .records import Record, set_field
 from .witt import (
     PfisterSymbol,
     arf,
@@ -89,13 +89,15 @@ REPORT_FORMAT = "katoforms-report-1"
 DEFAULT_SEED = 20240803
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """One validated CLI job: command name, options, seed."""
 
-    command: str
-    options: dict
-    seed: int = DEFAULT_SEED
+    __slots__ = ("command", "options", "seed")
+
+    def __init__(self, command: str, options: dict, seed: int = DEFAULT_SEED) -> None:
+        set_field(self, "command", command)
+        set_field(self, "options", options)
+        set_field(self, "seed", seed)
 
 
 def _read_arg(value: str) -> str:

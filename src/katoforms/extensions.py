@@ -18,31 +18,31 @@ on square classes is read off the Frobenius support.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 from .errors import CertificateFailed, NotAdapted, ParseError
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, d, nu_member, wedge
 from . import sexpr
+from .records import Record, set_field
 
 EXT_FORMAT = "katoforms-ext-1"
 
 _FRESH_NAMES = "uvwrsqabcefgh"
 
 
-@dataclass(frozen=True)
-class AdaptedData:
+class AdaptedData(Record):
     """Distinguished (variable index, exponent) pairs; indices distinct, m >= 1."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        idxs = [i for i, _ in self.pairs]
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        idxs = [i for i, _ in pairs]
         if len(set(idxs)) != len(idxs):
             raise ValueError("duplicate distinguished indices")
-        if any(m < 1 for _, m in self.pairs):
+        if any(m < 1 for _, m in pairs):
             raise ValueError("exponents must be >= 1")
+        set_field(self, "pairs", pairs)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -55,25 +55,42 @@ class AdaptedData:
         return None
 
 
-@dataclass(frozen=True)
-class InsepCert:
+class InsepCert(Record):
     """Claim z^(p^n) = phi(g) for a target variable z and g in the source field."""
 
-    var: str
-    n: int
-    g: RatFunc
+    __slots__ = ("var", "n", "g")
+
+    def __init__(self, var: str, n: int, g: RatFunc) -> None:
+        set_field(self, "var", var)
+        set_field(self, "n", n)
+        set_field(self, "g", g)
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """Validated embedding of F into a fresh rational function field E."""
+class ExtensionSpec(Record):
+    """Validated embedding of F into a fresh rational function field E.
 
-    source: FunctionField
-    target: FunctionField
-    images: tuple[RatFunc, ...]
-    insep_certs: tuple[InsepCert, ...]
-    exponent: int
-    adapted: Optional[AdaptedData] = dc_field(default=None, compare=False)
+    ``adapted`` records how the embedding was built; equality and the hash
+    ignore it, so equal embeddings are equal however they were made.
+    """
+
+    __slots__ = ("source", "target", "images", "insep_certs", "exponent", "adapted")
+    _compared = ("source", "target", "images", "insep_certs", "exponent")
+
+    def __init__(
+        self,
+        source: FunctionField,
+        target: FunctionField,
+        images: tuple[RatFunc, ...],
+        insep_certs: tuple[InsepCert, ...],
+        exponent: int,
+        adapted: Optional[AdaptedData] = None,
+    ) -> None:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "images", images)
+        set_field(self, "insep_certs", insep_certs)
+        set_field(self, "exponent", exponent)
+        set_field(self, "adapted", adapted)
 
     def image_map(self) -> dict[int, RatFunc]:
         return dict(enumerate(self.images))

@@ -24,7 +24,6 @@ against (b^p, m+1)) with certified output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .certificates import (
@@ -42,6 +41,7 @@ from .extensions import ExtensionSpec, restrict
 from .fields import FunctionField, RatFunc, pth_root
 from .forms import DiffForm, d, dlog_wedge, nu_member, sp_iter, wedge
 from .oracle import SearchBounds, solve_wp_plus_d
+from .records import Record, set_field
 
 KIND_LINEAR = "linear"
 KIND_POWER = "power"
@@ -72,6 +72,8 @@ class Pattern:
     j = None.
     """
 
+    __slots__ = ()
+
     level: Level
 
     @property
@@ -91,8 +93,7 @@ class Pattern:
         return None if self.level[0] == 0 else self.level[1]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec(Pattern):
+class GeneratorSpec(Pattern, Record):
     """One admissible pattern of the generator system.
 
     pairs is the full system data ((b_i, m_i), ...) and level the pattern
@@ -100,51 +101,53 @@ class GeneratorSpec(Pattern):
     divisibility constraints.
     """
 
-    pairs: tuple[tuple[RatFunc, int], ...]
-    n: int
-    level: Level
+    __slots__ = ("pairs", "n", "level")
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[RatFunc, int], ...], n: int, level: Level) -> None:
+        if not pairs:
             raise ValueError("empty generator system")
-        if any(b.is_zero() for b, _ in self.pairs):
+        if any(b.is_zero() for b, _ in pairs):
             raise ValueError("generator elements must be nonzero")
-        if any(m < 1 for _, m in self.pairs):
+        if any(m < 1 for _, m in pairs):
             raise ValueError("all exponents m_i must be >= 1")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("generators exist in degree >= 1 only")
-        t, k = self.level[0], tuple(self.level[1])
-        object.__setattr__(self, "level", (t, k))
-        if len(k) != len(self.pairs):
+        t, k = level[0], tuple(level[1])
+        if len(k) != len(pairs):
             raise BadExponent("exponent vector length mismatch")
         if t == 0:
             if sorted(k) != [0] * (len(k) - 1) + [1]:
                 raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
-            return
-        p = self.field.p
-        e = max(m for _, m in self.pairs)
-        if not 1 <= t <= e - 1:
-            raise BadExponent(f"level t={t} outside 1..{e - 1}")
-        for ki, (_, mi) in zip(k, self.pairs):
-            if not 0 <= ki < p**t:
-                raise BadExponent(f"exponent {ki} outside [0, p^t)")
-            if ki % pattern_divisor(p, t, mi):
-                raise BadExponent(
-                    f"exponent {ki} violates divisibility for m={mi}, t={t}"
-                )
+        else:
+            p = pairs[0][0].field.p
+            e = max(m for _, m in pairs)
+            if not 1 <= t <= e - 1:
+                raise BadExponent(f"level t={t} outside 1..{e - 1}")
+            for ki, (_, mi) in zip(k, pairs):
+                if not 0 <= ki < p**t:
+                    raise BadExponent(f"exponent {ki} outside [0, p^t)")
+                if ki % pattern_divisor(p, t, mi):
+                    raise BadExponent(
+                        f"exponent {ki} violates divisibility for m={mi}, t={t}"
+                    )
+        set_field(self, "pairs", pairs)
+        set_field(self, "n", n)
+        set_field(self, "level", (t, k))
 
     @property
     def field(self) -> FunctionField:
         return self.pairs[0][0].field
 
 
-@dataclass(frozen=True)
-class GeneratorInstance:
+class GeneratorInstance(Record):
     """A pattern instantiated with a concrete form of one degree lower."""
 
-    spec: GeneratorSpec
-    inst: DiffForm
-    value: DiffForm
+    __slots__ = ("spec", "inst", "value")
+
+    def __init__(self, spec: GeneratorSpec, inst: DiffForm, value: DiffForm) -> None:
+        set_field(self, "spec", spec)
+        set_field(self, "inst", inst)
+        set_field(self, "value", value)
 
     @property
     def trivial(self) -> bool:
@@ -268,8 +271,7 @@ def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
 # -- logarithmic-shaped generators ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogGenerator(Pattern):
+class LogGenerator(Pattern, Record):
     """Generator in logarithmic shape: head wedge dlog(a_2) ^ ... ^ dlog(a_n).
 
     The head is the degree-1 part b^k s^(p^t) dlog s (b_j s dlog s at
@@ -278,13 +280,25 @@ class LogGenerator(Pattern):
     ``check_shape``.
     """
 
-    pairs: tuple[tuple[RatFunc, int], ...]
-    s: RatFunc
-    tail: tuple[RatFunc, ...]
-    level: Level
-    head: DiffForm
-    value: DiffForm
-    trivial: bool
+    __slots__ = ("pairs", "s", "tail", "level", "head", "value", "trivial")
+
+    def __init__(
+        self,
+        pairs: tuple[tuple[RatFunc, int], ...],
+        s: RatFunc,
+        tail: tuple[RatFunc, ...],
+        level: Level,
+        head: DiffForm,
+        value: DiffForm,
+        trivial: bool,
+    ) -> None:
+        set_field(self, "pairs", pairs)
+        set_field(self, "s", s)
+        set_field(self, "tail", tail)
+        set_field(self, "level", level)
+        set_field(self, "head", head)
+        set_field(self, "value", value)
+        set_field(self, "trivial", trivial)
 
     def check_shape(self) -> bool:
         tail_form = dlog_wedge(self.head.field, self.tail)

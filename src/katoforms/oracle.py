@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .certificates import Certificate, verify_certificate
@@ -97,27 +96,27 @@ from .fields import (
 )
 from .forms import DiffForm, accumulate
 from .kernels import Factorization
+from .records import Record, set_field
 
 
 # (numerator exponent k, coefficient c, denominator b): the reduced fraction c x^k / b
 Candidate = tuple[tuple[int, ...], int, MultiPoly]
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     """Finite candidate space: numerator degree bound and allowed denominators."""
 
-    max_degree: int
-    denominators: tuple[MultiPoly, ...] = dc_field(default=())
+    __slots__ = ("max_degree", "denominators")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_degree: int, denominators: tuple[MultiPoly, ...] = ()) -> None:
         # bounds key the oracle's memo of systems: hashable, and equal
         # whatever sequence the denominators came in
-        if isinstance(self.max_degree, bool) or not isinstance(self.max_degree, int):
-            raise ValueError(f"degree bound {self.max_degree!r} is not an integer")
-        if self.max_degree < 0:
-            raise ValueError(f"degree bound {self.max_degree} is negative")
-        object.__setattr__(self, "denominators", tuple(self.denominators))
+        if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+            raise ValueError(f"degree bound {max_degree!r} is not an integer")
+        if max_degree < 0:
+            raise ValueError(f"degree bound {max_degree} is negative")
+        set_field(self, "max_degree", max_degree)
+        set_field(self, "denominators", tuple(denominators))
 
     def candidate_terms(self, field: FunctionField) -> list[Candidate]:
         """Every mono/den in lowest terms, once, in (den, graded-lex) order,

@@ -22,7 +22,6 @@ well-definedness check across isometric symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .certificates import monomial
@@ -35,6 +34,7 @@ from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, dlog_wedge
 from .generators import Level, Pattern, adapted_slots, generator_levels
+from .records import Record, set_field
 
 Matrix = list  # list of list of RatFunc
 
@@ -256,16 +256,16 @@ class BilForm:
 # -- Pfister builders ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PfisterSymbol:
+class PfisterSymbol(Record):
     """Slots a_1, ..., a_n (nonzero) and optional quadratic tail b."""
 
-    slots: tuple[RatFunc, ...]
-    tail: Optional[RatFunc] = None
+    __slots__ = ("slots", "tail")
 
-    def __post_init__(self) -> None:
-        if any(a.is_zero() for a in self.slots):
+    def __init__(self, slots: tuple[RatFunc, ...], tail: Optional[RatFunc] = None) -> None:
+        if any(a.is_zero() for a in slots):
             raise ValueError("Pfister slots must be nonzero")
+        set_field(self, "slots", slots)
+        set_field(self, "tail", tail)
 
 
 def pfister_bil(sym: PfisterSymbol) -> BilForm:
@@ -333,11 +333,13 @@ def arf(q: QuadForm) -> RatFunc:
     return total
 
 
-@dataclass(frozen=True)
-class IsometryCert:
+class IsometryCert(Record):
     """Invertible T with q2(v) = q1(T v) as a polynomial identity."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: tuple) -> None:
+        set_field(self, "matrix", matrix)
 
 
 def is_isometry(q1: QuadForm, q2: QuadForm, cert: IsometryCert) -> bool:
@@ -364,11 +366,13 @@ def is_isometry(q1: QuadForm, q2: QuadForm, cert: IsometryCert) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LagrangianCert:
+class LagrangianCert(Record):
     """Half-dimensional totally singular subspace, given by a basis."""
 
-    basis: tuple
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple) -> None:
+        set_field(self, "basis", basis)
 
 
 def lagrangian_check(q: QuadForm, cert: LagrangianCert) -> bool:
@@ -411,15 +415,24 @@ def hyperbolic_lagrangian(q: QuadForm) -> LagrangianCert:
 # -- kernel generators ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittGenerator(Pattern):
+class WittGenerator(Pattern, Record):
     """One quadratic kernel generator << s, tail ]] at its level (t, k)."""
 
-    pairs: tuple[tuple[RatFunc, int], ...]
-    s: RatFunc
-    level: Level
-    tail: RatFunc
-    form: QuadForm
+    __slots__ = ("pairs", "s", "level", "tail", "form")
+
+    def __init__(
+        self,
+        pairs: tuple[tuple[RatFunc, int], ...],
+        s: RatFunc,
+        level: Level,
+        tail: RatFunc,
+        form: QuadForm,
+    ) -> None:
+        set_field(self, "pairs", pairs)
+        set_field(self, "s", s)
+        set_field(self, "level", level)
+        set_field(self, "tail", tail)
+        set_field(self, "form", form)
 
     @property
     def symbol(self) -> PfisterSymbol:
@@ -451,18 +464,26 @@ def quad_kernel_generators(
     return [quad_kernel_generator(pairs, s, level) for s in s_list for level in levels]
 
 
-@dataclass(frozen=True)
-class HyperbolicityChain:
+class HyperbolicityChain(Record):
     """Chain of verified isometries ending in a Lagrangian.
 
     steps are triples (lhs, rhs, T) with rhs = lhs o T; the first rhs is the
     restricted generator and the last lhs carries the Lagrangian.
     """
 
-    restricted: QuadForm
-    steps: tuple[tuple[QuadForm, QuadForm, IsometryCert], ...]
-    final_form: QuadForm
-    lagrangian: LagrangianCert
+    __slots__ = ("restricted", "steps", "final_form", "lagrangian")
+
+    def __init__(
+        self,
+        restricted: QuadForm,
+        steps: tuple[tuple[QuadForm, QuadForm, IsometryCert], ...],
+        final_form: QuadForm,
+        lagrangian: LagrangianCert,
+    ) -> None:
+        set_field(self, "restricted", restricted)
+        set_field(self, "steps", steps)
+        set_field(self, "final_form", final_form)
+        set_field(self, "lagrangian", lagrangian)
 
     def verify(self) -> bool:
         if self.steps and self.steps[0][1] != self.restricted:
@@ -566,13 +587,15 @@ def hyperbolicity_certificate(
     return chain
 
 
-@dataclass(frozen=True)
-class BilGenerator:
+class BilGenerator(Record):
     """Bilinear kernel generator <1, x> with its isotropic vector over E."""
 
-    x: RatFunc
-    form: BilForm
-    vector: tuple
+    __slots__ = ("x", "form", "vector")
+
+    def __init__(self, x: RatFunc, form: BilForm, vector: tuple) -> None:
+        set_field(self, "x", x)
+        set_field(self, "form", form)
+        set_field(self, "vector", vector)
 
 
 def bilinear_kernel_generators(

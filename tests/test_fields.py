@@ -1,8 +1,14 @@
 """Field arithmetic: canonical forms, derivations, Frobenius structure."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import katoforms
 
 from katoforms import (
     FieldMismatch,
@@ -28,6 +34,51 @@ def test_prime_field_rejects_composites():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def _python(args, timeout=60):
+    """A fresh interpreter on the package sources; a stall fails the test
+    at the timeout instead of holding it."""
+    src = str(Path(katoforms.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-3, 5000):
+        assert fields._is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(20151)
+    big = [rng.randrange(2**64) | 1 for _ in range(300)]
+    # Carmichael numbers, products of two primes near 2^32, and a strong
+    # pseudoprime to every prime base up to 31, which only base 37 rejects
+    big += [561, 41041, 825265, 321197185, 4294967291 * 4294967279, 3825123056546413051]
+    code = "import sys; from katoforms.fields import _is_prime; print([_is_prime(int(n)) for n in sys.argv[1:]])"
+    out = _python(["-c", code, *map(str, big)])
+    assert out.stdout.strip() == str([sympy.isprime(n) for n in big])
+    assert not sympy.isprime(3825123056546413051)
+
+
+def test_large_prime_moduli_are_accepted_at_once():
+    code = (
+        "import time; from katoforms.fields import PrimeField, _is_prime; "
+        "t = time.perf_counter(); "
+        "ok = [_is_prime(10**18 + 3), _is_prime(2**61 - 1), PrimeField(10**18 + 3).p > 0]; "
+        "print(ok, time.perf_counter() - t)"
+    )
+    out = _python(["-c", code])
+    verdict, seconds = out.stdout.split("] ")
+    assert verdict == "[True, True, True"
+    assert float(seconds) < 0.5
+
+
+def test_modulus_of_2_to_the_64_or_more_is_refused_with_exit_3():
+    out = _python(["-m", "katoforms.cli", "classify", "--form", "x dx",
+                   "--field", "F1000000000000000000000007(x)"])
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["error"] == (
+        "ValueError: modulus 1000000000000000000000007 is not below 2^64"
+    )
 
 
 def test_normalize_reduces_common_factor(f2x):
