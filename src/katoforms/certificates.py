@@ -45,18 +45,13 @@ from .forms import (
     sp_iter,
     wp,
 )
-from .records import Record, set_field
+from .records import Record
 
 
 class Certificate(Record):
     """Witness pair: lhs - rhs = wp(u) + d(eta) in the ambient field."""
 
     __slots__ = ("u", "eta", "field")
-
-    def __init__(self, u: DiffForm, eta: DiffForm, field: FunctionField) -> None:
-        set_field(self, "u", u)
-        set_field(self, "eta", eta)
-        set_field(self, "field", field)
 
     @staticmethod
     def trivial(field: FunctionField, degree: int) -> "Certificate":
@@ -284,24 +279,6 @@ class ReductionResult(Record):
     """
 
     __slots__ = ("bs", "ks", "t", "source_form", "levels", "linear_parts", "certificate")
-
-    def __init__(
-        self,
-        bs: tuple[RatFunc, ...],
-        ks: tuple[int, ...],
-        t: int,
-        source_form: DiffForm,
-        levels: dict[int, DiffForm],
-        linear_parts: tuple[tuple[int, DiffForm], ...],
-        certificate: Certificate,
-    ) -> None:
-        set_field(self, "bs", bs)
-        set_field(self, "ks", ks)
-        set_field(self, "t", t)
-        set_field(self, "source_form", source_form)
-        set_field(self, "levels", levels)
-        set_field(self, "linear_parts", linear_parts)
-        set_field(self, "certificate", certificate)
 
     @property
     def field(self) -> FunctionField:

@@ -73,7 +73,7 @@ from .generators import (
 )
 from .kernels import IMPL_NAME
 from .oracle import SearchBounds, exhaustive_exactness, solve_wp_plus_d
-from .records import Record, set_field
+from .records import Record
 from .witt import (
     PfisterSymbol,
     arf,
@@ -93,11 +93,7 @@ class JobSpec(Record):
     """One validated CLI job: command name, options, seed."""
 
     __slots__ = ("command", "options", "seed")
-
-    def __init__(self, command: str, options: dict, seed: int = DEFAULT_SEED) -> None:
-        set_field(self, "command", command)
-        set_field(self, "options", options)
-        set_field(self, "seed", seed)
+    _defaults = {"seed": DEFAULT_SEED}
 
 
 def _read_arg(value: str) -> str:

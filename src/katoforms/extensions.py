@@ -24,7 +24,7 @@ from .errors import CertificateFailed, NotAdapted, ParseError
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, d, nu_member, wedge
 from . import sexpr
-from .records import Record, set_field
+from .records import Record
 
 EXT_FORMAT = "katoforms-ext-1"
 
@@ -42,7 +42,7 @@ class AdaptedData(Record):
             raise ValueError("duplicate distinguished indices")
         if any(m < 1 for _, m in pairs):
             raise ValueError("exponents must be >= 1")
-        set_field(self, "pairs", pairs)
+        super().__init__(pairs)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -60,11 +60,6 @@ class InsepCert(Record):
 
     __slots__ = ("var", "n", "g")
 
-    def __init__(self, var: str, n: int, g: RatFunc) -> None:
-        set_field(self, "var", var)
-        set_field(self, "n", n)
-        set_field(self, "g", g)
-
 
 class ExtensionSpec(Record):
     """Validated embedding of F into a fresh rational function field E.
@@ -75,22 +70,7 @@ class ExtensionSpec(Record):
 
     __slots__ = ("source", "target", "images", "insep_certs", "exponent", "adapted")
     _compared = ("source", "target", "images", "insep_certs", "exponent")
-
-    def __init__(
-        self,
-        source: FunctionField,
-        target: FunctionField,
-        images: tuple[RatFunc, ...],
-        insep_certs: tuple[InsepCert, ...],
-        exponent: int,
-        adapted: Optional[AdaptedData] = None,
-    ) -> None:
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "images", images)
-        set_field(self, "insep_certs", insep_certs)
-        set_field(self, "exponent", exponent)
-        set_field(self, "adapted", adapted)
+    _defaults = {"adapted": None}
 
     def image_map(self) -> dict[int, RatFunc]:
         return dict(enumerate(self.images))

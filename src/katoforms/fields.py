@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import FieldMismatch, ZeroDenominator
 from .kernels import poly_add, poly_mul, poly_exact_div as kernel_exact_div
-from .records import Record, set_field
+from .records import Record
 
 
 # Miller-Rabin with the first twelve primes as bases answers exactly for every
@@ -98,7 +98,7 @@ class PrimeField(Record):
             raise ValueError(f"modulus {p} is not below 2^64")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        set_field(self, "p", p)
+        super().__init__(p)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -115,7 +115,7 @@ class PBasis(Record):
     def __init__(self, vars: tuple[str, ...]) -> None:
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
-        set_field(self, "vars", vars)
+        super().__init__(vars)
 
     def index(self, name: str) -> int:
         return self.vars.index(name)
@@ -527,13 +527,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        num, den = self.num, self.den
-        return (
-            num.is_const() and num.const_value() == 1
-            and den.is_const() and den.const_value() == 1
-        )
 
     def is_poly(self) -> bool:
         return self.den.is_const()

@@ -41,7 +41,7 @@ from .extensions import ExtensionSpec, restrict
 from .fields import FunctionField, RatFunc, pth_root
 from .forms import DiffForm, d, dlog_wedge, nu_member, sp_iter, wedge
 from .oracle import SearchBounds, solve_wp_plus_d
-from .records import Record, set_field
+from .records import Record
 
 KIND_LINEAR = "linear"
 KIND_POWER = "power"
@@ -130,9 +130,7 @@ class GeneratorSpec(Pattern, Record):
                     raise BadExponent(
                         f"exponent {ki} violates divisibility for m={mi}, t={t}"
                     )
-        set_field(self, "pairs", pairs)
-        set_field(self, "n", n)
-        set_field(self, "level", (t, k))
+        super().__init__(pairs, n, (t, k))
 
     @property
     def field(self) -> FunctionField:
@@ -143,11 +141,6 @@ class GeneratorInstance(Record):
     """A pattern instantiated with a concrete form of one degree lower."""
 
     __slots__ = ("spec", "inst", "value")
-
-    def __init__(self, spec: GeneratorSpec, inst: DiffForm, value: DiffForm) -> None:
-        set_field(self, "spec", spec)
-        set_field(self, "inst", inst)
-        set_field(self, "value", value)
 
     @property
     def trivial(self) -> bool:
@@ -217,26 +210,30 @@ def kernel_generators(
 # -- vanishing over the extension ---------------------------------------------
 
 
-def adapted_slots(
-    pairs: Sequence[tuple[RatFunc, int]], ext: ExtensionSpec, needs: str
-) -> list[int]:
-    """Source-variable index for each pair; the extension must be adapted to them.
+def root_monomial(
+    pairs: Sequence[tuple[RatFunc, int]], k: Sequence[int], shift: int, ext: ExtensionSpec,
+    needs: str,
+) -> RatFunc:
+    """prod z_i^((p^(m_i) k_i) / p^shift) in E, where z_i is the target
+    variable with z_i^(p^(m_i)) = b_i; the extension must be adapted to the
+    pairs.
 
     ``needs`` names the construction in the error raised for an extension
     without adapted data.
     """
     if ext.adapted is None:
         raise UnsupportedExtension(f"{needs} need an adapted extension")
-    source = ext.source
-    slots = []
+    source, target = ext.source, ext.target
+    roots = []
     for b, m in pairs:
         idx = next((i for i in range(source.nvars) if b == source.var(i)), None)
         if idx is None or ext.adapted.exponent_of(idx) != m:
             raise UnsupportedExtension(
                 "generator data is not among the distinguished variables"
             )
-        slots.append(idx)
-    return slots
+        roots.append(target.var(idx))
+    p = target.p
+    return monomial(target, roots, [(p**m * ki) // p**shift for ki, (_, m) in zip(k, pairs)])
 
 
 def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
@@ -248,19 +245,13 @@ def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
     exact slot.  At level 0 (b_j d(v)) the telescope is empty and the
     witness is purely exact.
     """
-    slots = adapted_slots(g.spec.pairs, ext, "vanishing witnesses")
+    t, k = g.spec.level
+    root_mono = root_monomial(g.spec.pairs, k, t, ext, "vanishing witnesses")
     target = ext.target
-    p = target.p
     value_e = restrict(g.value, ext)
     if value_e.is_zero():
         return Certificate.trivial(target, g.value.degree)
     inst_e = restrict(g.inst, ext)
-    t, k = g.spec.level
-    root_mono = monomial(
-        target,
-        [target.var(slot) for slot in slots],
-        [(p**mi * ki) // p**t for ki, (_, mi) in zip(k, g.spec.pairs)],
-    )
     _, telescope = power_certificate(d(inst_e).scale(root_mono), t)
     cert = Certificate(u=telescope.u, eta=inst_e.scale(root_mono), field=target)
     if not verify_certificate(value_e, DiffForm.zero(target, g.value.degree), cert):
@@ -281,24 +272,6 @@ class LogGenerator(Pattern, Record):
     """
 
     __slots__ = ("pairs", "s", "tail", "level", "head", "value", "trivial")
-
-    def __init__(
-        self,
-        pairs: tuple[tuple[RatFunc, int], ...],
-        s: RatFunc,
-        tail: tuple[RatFunc, ...],
-        level: Level,
-        head: DiffForm,
-        value: DiffForm,
-        trivial: bool,
-    ) -> None:
-        set_field(self, "pairs", pairs)
-        set_field(self, "s", s)
-        set_field(self, "tail", tail)
-        set_field(self, "level", level)
-        set_field(self, "head", head)
-        set_field(self, "value", value)
-        set_field(self, "trivial", trivial)
 
     def check_shape(self) -> bool:
         tail_form = dlog_wedge(self.head.field, self.tail)

@@ -96,7 +96,7 @@ from .fields import (
 )
 from .forms import DiffForm, accumulate
 from .kernels import Factorization
-from .records import Record, set_field
+from .records import Record
 
 
 # (numerator exponent k, coefficient c, denominator b): the reduced fraction c x^k / b
@@ -115,8 +115,7 @@ class SearchBounds(Record):
             raise ValueError(f"degree bound {max_degree!r} is not an integer")
         if max_degree < 0:
             raise ValueError(f"degree bound {max_degree} is negative")
-        set_field(self, "max_degree", max_degree)
-        set_field(self, "denominators", tuple(denominators))
+        super().__init__(max_degree, tuple(denominators))
 
     def candidate_terms(self, field: FunctionField) -> list[Candidate]:
         """Every mono/den in lowest terms, once, in (den, graded-lex) order,

@@ -2,10 +2,12 @@
 
 ``@dataclass(frozen=True)`` writes the source of six methods for each class
 and runs ``exec`` on it at import, about 1 ms a class.  A ``Record``
-subclass instead lists its fields in ``__slots__`` and writes its own
-``__init__``, which checks its arguments with ``if``/``raise`` and sets each
-field through ``set_field`` (``object.__setattr__``); the methods below are
-compiled once, with this module.
+subclass instead lists its fields in ``__slots__``; the methods below are
+compiled once, with this module.  ``Record.__init__`` binds its arguments to
+the fields in slot order, as a frozen dataclass does, taking a field that is
+not given from the class's ``_defaults``.  Only a record that checks or
+normalizes its arguments writes its own ``__init__``: it raises with
+``if``/``raise`` and ends with ``super().__init__`` on the values it keeps.
 
 Equality and the hash read ``_key``, the tuple of the compared fields.  It
 is made on first use and kept, so a record compared or hashed again costs
@@ -26,12 +28,36 @@ class Record:
     Two records are equal when they are of the same class and their compared
     fields are equal, and the hash is the hash of the tuple of those fields.
     The compared fields are all of ``__slots__`` unless the class names them
-    in ``_compared``.  The repr is ``Name(field=value, ...)`` over every
-    field.  Assignment and deletion raise ``AttributeError``.
+    in ``_compared``.  The constructor takes the fields in slot order,
+    positionally or by keyword; a field named in ``_defaults`` may be left
+    out.  The repr is ``Name(field=value, ...)`` over every field.
+    Assignment and deletion raise ``AttributeError``.
     """
 
     __slots__ = ("_key",)
     _compared: Optional[tuple[str, ...]] = None
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, head = self.__slots__, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{head}() takes {len(names)} positional arguments but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                set_field(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                set_field(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{head}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            if name in names:
+                raise TypeError(f"{head}() got multiple values for argument {name!r}")
+            raise TypeError(f"{head}() got an unexpected keyword argument {name!r}")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -256,31 +256,22 @@ def parse_certificate(text: str):
 # -- matrices (quadratic / bilinear forms) ---------------------------------------
 
 
-def _print_matrix(head: str, dim: int, entries: dict) -> str:
-    parts = [f"({head} {dim}"]
-    for (i, j) in sorted(entries):
-        parts.append(f" (({i} {j}) {print_ratfunc(entries[(i, j)])})")
+def _print_matrix(head: str, form) -> str:
+    """``(head dim ((i j) entry) ...)`` over the nonzero entries, row by row."""
+    parts = [f"({head} {form.dim}"]
+    for i, row in enumerate(form.matrix):
+        for j, entry in enumerate(row):
+            if not entry.is_zero():
+                parts.append(f" (({i} {j}) {print_ratfunc(entry)})")
     return "".join(parts) + ")"
 
 
 def print_quadform(q) -> str:
-    entries = {
-        (i, j): q.matrix[i][j]
-        for i in range(q.dim)
-        for j in range(q.dim)
-        if not q.matrix[i][j].is_zero()
-    }
-    return _print_matrix("quad", q.dim, entries)
+    return _print_matrix("quad", q)
 
 
 def print_bilform(b) -> str:
-    entries = {
-        (i, j): b.matrix[i][j]
-        for i in range(b.dim)
-        for j in range(b.dim)
-        if not b.matrix[i][j].is_zero()
-    }
-    return _print_matrix("bil", b.dim, entries)
+    return _print_matrix("bil", b)
 
 
 def _matrix_from_node(node: Node, head: str, field: FunctionField):

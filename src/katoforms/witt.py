@@ -33,8 +33,8 @@ from .errors import (
 from .extensions import ExtensionSpec
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, dlog_wedge
-from .generators import Level, Pattern, adapted_slots, generator_levels
-from .records import Record, set_field
+from .generators import Level, Pattern, generator_levels, root_monomial
+from .records import Record
 
 Matrix = list  # list of list of RatFunc
 
@@ -82,47 +82,24 @@ def _mat_transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _mat_det(a: Matrix, field: FunctionField) -> RatFunc:
-    n = len(a)
-    m = [row[:] for row in a]
-    det = field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            m[piv], m[col] = m[col], m[piv]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inv()
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return det
-
-
 def _mat_vec(a: Matrix, v: Sequence[RatFunc], field: FunctionField) -> list[RatFunc]:
     return [_sum((e * vj for e, vj in zip(row, v) if not vj.is_zero()), field) for row in a]
 
 
-def _vec_rank(vectors: Sequence[Sequence[RatFunc]], field: FunctionField) -> int:
-    rows = [list(v) for v in vectors]
+def _rank(rows: Sequence[Sequence[RatFunc]]) -> int:
+    """The rank of the rows, by forward elimination."""
+    m = [list(row) for row in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
         if piv is None:
             continue
-        rows[piv], rows[rank] = rows[rank], rows[piv]
-        inv = rows[rank][col].inv()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        m[piv], m[rank] = m[rank], m[piv]
+        inv = m[rank][col].inv()
+        for r in range(rank + 1, len(m)):
+            if not m[r][col].is_zero():
+                f = m[r][col] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
 
@@ -180,7 +157,7 @@ class QuadForm:
     def is_nonsingular(self) -> bool:
         if self.dim % 2:
             return False
-        return not _mat_det(self.polar_matrix(), self.field).is_zero()
+        return _rank(self.polar_matrix()) == self.dim
 
     def perp(self, other: "QuadForm") -> "QuadForm":
         if self.field != other.field:
@@ -264,8 +241,7 @@ class PfisterSymbol(Record):
     def __init__(self, slots: tuple[RatFunc, ...], tail: Optional[RatFunc] = None) -> None:
         if any(a.is_zero() for a in slots):
             raise ValueError("Pfister slots must be nonzero")
-        set_field(self, "slots", slots)
-        set_field(self, "tail", tail)
+        super().__init__(slots, tail)
 
 
 def pfister_bil(sym: PfisterSymbol) -> BilForm:
@@ -338,9 +314,6 @@ class IsometryCert(Record):
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: tuple) -> None:
-        set_field(self, "matrix", matrix)
-
 
 def is_isometry(q1: QuadForm, q2: QuadForm, cert: IsometryCert) -> bool:
     """Check T^T M1 T = M2 modulo alternating matrices, T invertible."""
@@ -350,7 +323,7 @@ def is_isometry(q1: QuadForm, q2: QuadForm, cert: IsometryCert) -> bool:
     t = [list(row) for row in cert.matrix]
     if len(t) != q1.dim or any(len(row) != q1.dim for row in t):
         return False
-    if _mat_det(t, field).is_zero():
+    if _rank(t) < q1.dim:
         return False
     delta = _mat_mul(_mat_mul(_mat_transpose(t), q1.matrix, field), t, field)
     for i in range(q1.dim):
@@ -371,9 +344,6 @@ class LagrangianCert(Record):
 
     __slots__ = ("basis",)
 
-    def __init__(self, basis: tuple) -> None:
-        set_field(self, "basis", basis)
-
 
 def lagrangian_check(q: QuadForm, cert: LagrangianCert) -> bool:
     """q vanishes on the span: q(v_i) = 0, polar(v_i, v_j) = 0, independent."""
@@ -382,7 +352,7 @@ def lagrangian_check(q: QuadForm, cert: LagrangianCert) -> bool:
         return False
     if any(len(v) != q.dim for v in vecs):
         return False
-    if _vec_rank(vecs, q.field) != len(vecs):
+    if _rank(vecs) != len(vecs):
         return False
     for i, v in enumerate(vecs):
         if not q.evaluate(v).is_zero():
@@ -419,20 +389,6 @@ class WittGenerator(Pattern, Record):
     """One quadratic kernel generator << s, tail ]] at its level (t, k)."""
 
     __slots__ = ("pairs", "s", "level", "tail", "form")
-
-    def __init__(
-        self,
-        pairs: tuple[tuple[RatFunc, int], ...],
-        s: RatFunc,
-        level: Level,
-        tail: RatFunc,
-        form: QuadForm,
-    ) -> None:
-        set_field(self, "pairs", pairs)
-        set_field(self, "s", s)
-        set_field(self, "level", level)
-        set_field(self, "tail", tail)
-        set_field(self, "form", form)
 
     @property
     def symbol(self) -> PfisterSymbol:
@@ -473,18 +429,6 @@ class HyperbolicityChain(Record):
 
     __slots__ = ("restricted", "steps", "final_form", "lagrangian")
 
-    def __init__(
-        self,
-        restricted: QuadForm,
-        steps: tuple[tuple[QuadForm, QuadForm, IsometryCert], ...],
-        final_form: QuadForm,
-        lagrangian: LagrangianCert,
-    ) -> None:
-        set_field(self, "restricted", restricted)
-        set_field(self, "steps", steps)
-        set_field(self, "final_form", final_form)
-        set_field(self, "lagrangian", lagrangian)
-
     def verify(self) -> bool:
         if self.steps and self.steps[0][1] != self.restricted:
             return False
@@ -520,18 +464,13 @@ def hyperbolicity_certificate(
     [s, g0^2] perp [g0^2, s], which carries the diagonal Lagrangian
     {(1,0,0,1), (0,1,1,0)}.
     """
-    slots = adapted_slots(g.pairs, ext, "hyperbolicity chains")
+    t, k = g.level
+    g0 = root_monomial(g.pairs, k, t + 1, ext, "hyperbolicity chains")
     target = ext.target
     one = target.one()
     zero = target.zero()
     q_e = restrict_quad(g.form, ext)
     s_e = ext.apply(g.s)
-    t, k = g.level
-    g0 = monomial(
-        target,
-        [target.var(slot) for slot in slots],
-        [(2**mi * ki) // 2 ** (t + 1) for ki, (_, mi) in zip(k, g.pairs)],
-    )
     w = s_e * g0 * g0
     # sanity: the restricted tail really is w^(2^t)
     tail_e = ext.apply(g.tail)
@@ -591,11 +530,6 @@ class BilGenerator(Record):
     """Bilinear kernel generator <1, x> with its isotropic vector over E."""
 
     __slots__ = ("x", "form", "vector")
-
-    def __init__(self, x: RatFunc, form: BilForm, vector: tuple) -> None:
-        set_field(self, "x", x)
-        set_field(self, "form", form)
-        set_field(self, "vector", vector)
 
 
 def bilinear_kernel_generators(

@@ -192,25 +192,23 @@ def test_arithmetic_field_axioms(f3xy, rng):
 def test_structure_checks_truth_table(f3xy):
     x = f3xy.var(0)
     one = f3xy.one()
-    # (value, is_const of the numerator, is_one, const_value or None if not constant)
+    # (value, is_const of the numerator, const_value or None if not constant)
     table = [
-        (f3xy.zero(), True, False, 0),
-        (one, True, True, 1),
-        (f3xy.const(2), True, False, 2),
-        (x, False, False, None),
-        (one + x, False, False, None),
+        (f3xy.zero(), True, 0),
+        (one, True, 1),
+        (f3xy.const(2), True, 2),
+        (x, False, None),
+        (one + x, False, None),
     ]
-    for f, const, is_one, value in table:
+    for f, const, value in table:
         assert f.num.is_const() is const
-        assert f.is_one() is is_one
         assert f.is_poly()
         if value is None:
             with pytest.raises(ValueError):
                 f.num.const_value()
         else:
             assert f.num.const_value() == value
-    # a constant numerator over a nonconstant denominator is not one
-    assert not (one / x).is_one()
+    # a constant numerator over a nonconstant denominator is not a polynomial
     assert not (one / x).is_poly()
 
 

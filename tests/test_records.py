@@ -1,6 +1,7 @@
 """Value records: immutable, compared and hashed on their fields, repr'd as
 dataclasses are, and made without ``dataclasses`` or any generated code."""
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from katoforms import (
     d,
     quad_kernel_generator,
 )
-from katoforms.cli import JobSpec
+from katoforms.cli import DEFAULT_SEED, JobSpec
 from katoforms.records import Record
 from katoforms.witt import QuadForm, BilForm
 
@@ -147,6 +148,43 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(r, name)
     assert not hasattr(r, "__dict__")
+
+
+def _required(cls):
+    """The fields that a constructor call must give, in slot order."""
+    if cls.__init__ is Record.__init__:
+        return [n for n in cls.__slots__ if n not in cls._defaults]
+    params = inspect.signature(cls).parameters
+    return [n for n in cls.__slots__ if params[n].default is inspect.Parameter.empty]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_constructor_refuses_bad_arguments(cls):
+    kwargs = _samples()[cls]
+    last, first = _required(cls)[-1], cls.__slots__[0]
+    with pytest.raises(TypeError, match=f"'{last}'"):
+        cls(**{n: v for n, v in kwargs.items() if n != last})
+    with pytest.raises(TypeError, match="'extra'"):
+        cls(**kwargs, extra=None)
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*kwargs.values(), None)
+    with pytest.raises(TypeError, match=f"'{first}'"):
+        cls(kwargs[first], **kwargs)
+
+
+def test_left_out_fields_take_their_defaults():
+    assert JobSpec("selftest", {}).seed == DEFAULT_SEED
+    assert JobSpec(command="selftest", options={}).seed == DEFAULT_SEED
+    kwargs = _samples()[ExtensionSpec]
+    del kwargs["adapted"]
+    assert ExtensionSpec(**kwargs).adapted is None
+    assert ExtensionSpec(*kwargs.values()).adapted is None
+
+
+def test_only_the_records_module_sets_fields():
+    package = Path(katoforms.__file__).parent
+    users = [p.name for p in package.glob("*.py") if "set_field" in p.read_text(encoding="utf-8")]
+    assert users == ["records.py"]
 
 
 def test_extension_equality_ignores_adapted():
