@@ -43,8 +43,6 @@ from .extensions import (
 from .fields import (
     FunctionField,
     MultiPoly,
-    PBasis,
-    PrimeField,
     RatFunc,
     frobenius_compose,
     frobenius_decompose,

@@ -27,7 +27,7 @@ from .certificates import (
     power_certificate,
     verify_certificate,
 )
-from .errors import KatoformsError, NotClosed
+from .errors import KatoformsError
 from .extensions import (
     AdaptedData,
     build_adapted,
@@ -132,7 +132,7 @@ def _parse_data(text: str, fld: FunctionField) -> AdaptedData:
         if not chunk:
             continue
         name, _, m = chunk.partition(":")
-        pairs.append((fld.basis.index(name.strip()), int(m)))
+        pairs.append((fld.vars.index(name.strip()), int(m)))
     return AdaptedData(tuple(pairs))
 
 
@@ -613,7 +613,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return 3, report
     try:
         code, result = handler(job.options, job.seed)
-    except (KatoformsError, NotClosed, OSError, KeyError, ValueError) as exc:
+    except (KatoformsError, OSError, KeyError, ValueError) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return 3, report
     report["result"] = result

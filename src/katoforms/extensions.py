@@ -144,11 +144,7 @@ def build_embedding(
     return ExtensionSpec(source, target, images, insep_certs, exponent, adapted)
 
 
-def build_adapted(
-    source: FunctionField,
-    data: AdaptedData,
-    fresh_names: Optional[dict[int, str]] = None,
-) -> ExtensionSpec:
+def build_adapted(source: FunctionField, data: AdaptedData) -> ExtensionSpec:
     """Adapted extension: x_i -> z_i^(p^m_i) on distinguished i, identity elsewhere."""
     for i, _ in data.pairs:
         if not 0 <= i < source.nvars:
@@ -157,12 +153,7 @@ def build_adapted(
     fresh_pool = [c for c in _FRESH_NAMES if c not in taken]
     target_names = list(source.vars)
     for i, _ in data.pairs:
-        if fresh_names and i in fresh_names:
-            name = fresh_names[i]
-        elif fresh_pool:
-            name = fresh_pool.pop(0)
-        else:
-            name = f"u{i}"
+        name = fresh_pool.pop(0) if fresh_pool else f"u{i}"
         if name in taken:
             raise ValueError(f"fresh name {name!r} collides")
         taken.add(name)

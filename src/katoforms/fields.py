@@ -7,6 +7,10 @@ Frobenius decomposition f = sum_j g_j^p x^j over exponent vectors
 j in {0, ..., p-1}^m, which is unique because the variables form a p-basis
 of the field over its subfield of p-th powers.
 
+The field is one value, ``FunctionField(p, vars)``: a named tuple of the
+modulus and the variable names, whose constructor refuses a modulus that is
+not a prime below 2^64 and a repeated name.
+
 Canonical conventions: graded-lexicographic term order, monic denominators,
 zero represented as 0/1.  Values are immutable after construction, so every
 operation is pure.
@@ -52,7 +56,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import FieldMismatch, ZeroDenominator
 from .kernels import poly_add, poly_mul, poly_exact_div as kernel_exact_div
-from .records import Record
 
 
 # Miller-Rabin with the first twelve primes as bases answers exactly for every
@@ -88,67 +91,56 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField(Record):
-    """The prime field F_p; all scalar arithmetic is mod p."""
+class _FieldTuple(NamedTuple):
+    p: int
+    vars: tuple[str, ...]
 
-    __slots__ = ("p",)
 
-    def __init__(self, p: int) -> None:
+class FunctionField(_FieldTuple):
+    """The rational function field F_p(x_1, ..., x_m) with its fixed p-basis
+    x_1, ..., x_m; all scalar arithmetic is mod p.
+
+    A named tuple of the modulus and the variable names, so reading ``p`` is
+    a C-level tuple access and equality and hashing are the tuple's.  Every
+    operand check in the package compares fields, mostly a field with itself;
+    tuple comparison runs in C and tests each component for identity first,
+    so that check makes no Python call, while equal fields built apart still
+    compare equal.  The constructor refuses a modulus that is not a prime
+    below 2^64 and a repeated variable name, so no invalid field is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, vars: Iterable[str]) -> "FunctionField":
         if p >= _MAX_MODULUS:
             raise ValueError(f"modulus {p} is not below 2^64")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        super().__init__(p)
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-
-class PBasis(Record):
-    """Ordered variable list; the variables are p-independent by construction."""
-
-    __slots__ = ("vars",)
-
-    def __init__(self, vars: tuple[str, ...]) -> None:
+        vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
-        super().__init__(vars)
+        return tuple.__new__(cls, (p, vars))
 
-    def index(self, name: str) -> int:
-        return self.vars.index(name)
-
-
-class FunctionField(NamedTuple):
-    """The rational function field F_p(x_1, ..., x_m) with its fixed p-basis.
-
-    A named tuple, so equality and hashing are the tuple's.  Every operand
-    check in the package compares fields, mostly a field with itself; tuple
-    comparison runs in C and tests each component for identity first, so
-    that check makes no Python call, while equal fields built apart still
-    compare equal.
-    """
-
-    prime: PrimeField
-    basis: PBasis
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FunctionField":
+        # ``_replace`` builds through ``_make``: both check, as the constructor does
+        return cls(*iterable)
 
     @staticmethod
     def make(p: int, names: Iterable[str]) -> "FunctionField":
-        return FunctionField(PrimeField(p), PBasis(tuple(names)))
-
-    @property
-    def p(self) -> int:
-        return self.prime.p
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.basis.vars
+        return FunctionField(p, names)
 
     @property
     def nvars(self) -> int:
-        return len(self.basis.vars)
+        return len(self.vars)
+
+    def inv(self, a: int) -> int:
+        """The inverse of a in F_p."""
+        p = self.p
+        a %= p
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0 in F_p")
+        return pow(a, p - 2, p)
 
     def zero_poly(self) -> "MultiPoly":
         return MultiPoly(self, {})
@@ -185,7 +177,7 @@ class FunctionField(NamedTuple):
         return RatFunc(self, self.var_poly(i), self.const_poly(1))
 
     def var_named(self, name: str) -> "RatFunc":
-        return self.var(self.basis.index(name))
+        return self.var(self.vars.index(name))
 
     def __repr__(self) -> str:
         return f"F{self.p}({','.join(self.vars)})"
@@ -305,7 +297,7 @@ class MultiPoly:
         if self.is_zero():
             return self
         _, lc = self.leading()
-        return self.scale(self.field.prime.inv(lc))
+        return self.scale(self.field.inv(lc))
 
     def partial(self, i: int) -> "MultiPoly":
         p = self.field.p
@@ -366,7 +358,7 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     constant with no inverse."""
     field = a.field
     if b.is_const():
-        return a.scale(field.prime.inv(b.const_value()))
+        return a.scale(field.inv(b.const_value()))
     return MultiPoly(field, kernel_exact_div(a.terms, b.terms, field.p))
 
 
@@ -611,7 +603,7 @@ class RatFunc:
             raise ZeroDenominator("inverse of zero")
         _, lc = num.leading()
         if lc != 1:
-            u = self.field.prime.inv(lc)
+            u = self.field.inv(lc)
             num, den = num.scale(u), den.scale(u)
         return RatFunc(self.field, den, num)
 
@@ -661,7 +653,7 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
         den = poly_exact_div(den, g)
     _, lc = den.leading()
     if lc != 1:
-        inv = field.prime.inv(lc)
+        inv = field.inv(lc)
         num = num.scale(inv)
         den = den.scale(inv)
     return RatFunc(field, num, den)
@@ -746,10 +738,7 @@ def pth_root(f: RatFunc) -> Optional[RatFunc]:
 
 def subfield_membership(f: RatFunc, names: Iterable[str]) -> bool:
     """Membership in F^p(x_S): the Frobenius support must stay inside S."""
-    field = f.field
-    allowed = set()
-    for name in names:
-        allowed.add(field.basis.index(name))
+    allowed = {f.field.vars.index(name) for name in names}
     for j in frobenius_decompose(f):
         for i, e in enumerate(j):
             if e and i not in allowed:

@@ -364,19 +364,19 @@ def integrate(omega: DiffForm) -> DiffForm:
     p = field.p
     zero_j = (0,) * field.nvars
     eta_log: dict = {}
-    for j, piece in grade_decompose(omega).items():
-        if j == zero_j:
-            if not piece.is_zero():
+    # the grade-j part of the log coefficient at idx is g^p x^j
+    for idx, c in to_log(omega).items():
+        for j, g in frobenius_decompose(c).items():
+            if j == zero_j:
                 raise NotExact("closed form with nonzero Cartier image")
-            continue
-        i0 = next(i for i, e in enumerate(j) if e)
-        inv = field.prime.inv(j[i0])
-        for idx, c in to_log(piece).items():
+            i0 = next(i for i, e in enumerate(j) if e)
             if i0 not in idx:
                 continue
+            inv = field.inv(j[i0])
             r = idx.index(i0)
+            part = g.frobenius_power() * RatFunc(field, field.monomial(j), field.const_poly(1))
             rest = idx[:r] + idx[r + 1 :]
-            accumulate(eta_log, rest, c.scale(inv if r % 2 == 0 else (-inv) % p))
+            accumulate(eta_log, rest, part.scale(inv if r % 2 == 0 else (-inv) % p))
     return from_log(field, n - 1, eta_log)
 
 

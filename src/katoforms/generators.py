@@ -318,20 +318,17 @@ def log_kernel_generators(
             tail_form = tail_forms.get(tail)
             if tail_form is None:
                 tail_form = tail_forms[tail] = dlog_wedge(field, tail)
+                # each value is made as head ^ tail_form, so it factors
+                # through the tail; the tail's half of check_shape is all
+                # that is left to check, once per distinct tail
+                if not _is_log_tail(tail, tail_form):
+                    raise CertificateFailed("log generator lost its factored shape")
             for t, k in levels:
                 head = ds.scale(monomial(field, bs, k) * s ** (field.p**t - 1))
                 value = wedge(head, tail_form)
                 out.append(
                     LogGenerator(pairs, s, tail, (t, k), head, value, value.is_zero())
                 )
-    # check_shape of every generator, its tail half once per distinct tail
-    log_tails: dict = {}
-    for g in out:
-        tail_form = tail_forms[g.tail]
-        if g.tail not in log_tails:
-            log_tails[g.tail] = _is_log_tail(g.tail, tail_form)
-        if not (log_tails[g.tail] and g.factors_through(tail_form)):
-            raise CertificateFailed("log generator lost its factored shape")
     return out
 
 

@@ -138,7 +138,7 @@ class SearchBounds(Record):
             if den.is_zero():
                 raise ZeroDenominator("zero denominator")
             order = tuple(min(column) for column in zip(*den.terms))
-            inv = field.prime.inv(den.leading()[1])
+            inv = field.inv(den.leading()[1])
             reduced: dict = {}
             for e in exps:
                 g = tuple(map(min, e, order))

@@ -20,6 +20,7 @@ the formal interface.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from .errors import ParseError
@@ -33,23 +34,7 @@ Node = Union[str, list]
 
 
 def tokenize(text: str) -> list[str]:
-    out = []
-    cur = []
-    for ch in text:
-        if ch == "(" or ch == ")":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+    return re.findall(r"[()]|[^\s()]+", text)
 
 
 def parse_sexpr(text: str) -> Node:
@@ -319,26 +304,17 @@ def parse_bilform(text: str, field: FunctionField):
 # -- human-readable form expressions ----------------------------------------------
 
 
+# an operator, a parenthesis or a word (letters, digits, ``_``), or any
+# other character, which is refused
+_EXPR_TOKEN = re.compile(r"\s*(?:([-+*/^()]|\w+)|(\S))")
+
+
 def _lex_expr(text: str) -> list[str]:
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            out.append(ch)
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}")
+    for tok, bad in _EXPR_TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}")
+        out.append(tok)
     return out
 
 
@@ -441,7 +417,7 @@ class _ExprParser:
         if tok in self.field.vars:
             return DiffForm.scalar(self.field, self.field.var_named(tok))
         if len(tok) > 1 and tok[0] == "d" and tok[1:] in self.field.vars:
-            return DiffForm.basis(self.field, (self.field.basis.index(tok[1:]),))
+            return DiffForm.basis(self.field, (self.field.vars.index(tok[1:]),))
         raise ParseError(f"unknown symbol {tok!r}")
 
 

@@ -225,6 +225,16 @@ def test_restrict_degree_eight_example(sect4_file):
     assert result["syntactic_kernel_member"] is False
 
 
+@pytest.mark.parametrize("form, member", [("dx", True), ("y dx", True), ("dy", False)])
+def test_restrict_reads_the_data_of_an_adapted_extension(ext_x2_file, form, member):
+    # without --data the syntactic test takes the extension's own data
+    code, report = _run("restrict", form=form, ext=ext_x2_file)
+    assert code == 0 and report["result"]["syntactic_kernel_member"] is member
+    assert report["result"]["vanishes"] is member
+    _, given = _run("restrict", form=form, ext=ext_x2_file, data="x:2")
+    assert given["result"] == report["result"]
+
+
 def test_kernel_test_exit_codes():
     code, _ = _run(
         "kernel-test", form="dx^dy", field="F2(x,y,z)", data="x:2"
@@ -343,6 +353,22 @@ def test_arf_command():
         "arf", form=form, field="F2(x)", check_trivial=True, deg=6, dens="1,x"
     )
     assert code == 2  # x^2 is not in wp(F_2(x)) within bounds
+
+
+def test_arf_check_trivial_finds_a_witness():
+    # [1, x^2 + x]: the Arf representative x^2 + x is wp(x)
+    form = (
+        "(quad 2 ((0 0) (rat (poly 2 (term 1 (0))) (poly 2 (term 1 (0)))))"
+        " ((0 1) (rat (poly 2 (term 1 (0))) (poly 2 (term 1 (0)))))"
+        " ((1 1) (rat (poly 2 (term 1 (2)) (term 1 (1))) (poly 2 (term 1 (0))))))"
+    )
+    code, report = _run("arf", form=form, field="F2(x)", check_trivial=True, deg=2, dens="1")
+    assert code == 0
+    assert report["result"] == {
+        "arf": "(rat (poly 2 (term 1 (2)) (term 1 (1))) (poly 2 (term 1 (0))))",
+        "bounds": {"max_degree": 2, "denominators": ["1"]},
+        "trivial": True,
+    }
 
 
 def test_kato_map_command():

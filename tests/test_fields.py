@@ -13,7 +13,6 @@ import katoforms
 from katoforms import (
     FieldMismatch,
     FunctionField,
-    PrimeField,
     ZeroDenominator,
     frobenius_compose,
     frobenius_decompose,
@@ -28,12 +27,51 @@ from katoforms.fields import random_poly, random_ratfunc
 
 
 def test_prime_field_rejects_composites():
-    PrimeField(2)
-    PrimeField(13)
+    assert FunctionField(2, ("x",)).p == 2
+    assert FunctionField(13, ("x",)).p == 13
     with pytest.raises(ValueError):
-        PrimeField(4)
+        FunctionField(4, ("x",))
     with pytest.raises(ValueError):
-        PrimeField(1)
+        FunctionField(1, ("x",))
+
+
+_BAD_FIELDS = [
+    (4, ["x"], "modulus 4 is not prime"),
+    (1, ["x"], "modulus 1 is not prime"),
+    (2**64 + 13, ["x"], f"modulus {2**64 + 13} is not below 2^64"),
+    (2, ["x", "y", "x"], "duplicate variable names"),
+]
+
+
+@pytest.mark.parametrize("build", ["class", "make", "_make", "_replace"])
+@pytest.mark.parametrize("p, names, message", _BAD_FIELDS, ids=[m for _, _, m in _BAD_FIELDS])
+def test_field_constructor_refuses_invalid_fields(build, p, names, message):
+    makers = {
+        "class": lambda: FunctionField(p, tuple(names)),
+        "make": lambda: FunctionField.make(p, names),
+        "_make": lambda: FunctionField._make((p, tuple(names))),
+        "_replace": lambda: FunctionField.make(2, ["x"])._replace(p=p, vars=tuple(names)),
+    }
+    with pytest.raises(ValueError) as caught:
+        makers[build]()
+    assert str(caught.value) == message
+
+
+def test_field_is_a_tuple_of_modulus_and_names():
+    f = FunctionField.make(3, ["x", "y"])
+    assert f == FunctionField(3, ("x", "y")) == (3, ("x", "y"))
+    assert hash(f) == hash((3, ("x", "y")))
+    assert f.p == 3 and f.vars == ("x", "y") and f.nvars == 2
+    assert FunctionField(3, ["x", "y"]).vars == ("x", "y")
+    assert f != FunctionField.make(3, ["y", "x"]) and f != FunctionField.make(5, ["x", "y"])
+    assert repr(f) == "F3(x,y)" and not hasattr(f, "__dict__")
+    for name in ("p", "vars", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert f.var_named("y") == f.var(1)
+    assert [f.inv(a) for a in (1, 2, -1, 5)] == [1, 2, 2, 2]
+    with pytest.raises(ZeroDivisionError):
+        f.inv(3)
 
 
 def _python(args, timeout=60):
@@ -61,9 +99,10 @@ def test_is_prime_matches_sympy():
 
 def test_large_prime_moduli_are_accepted_at_once():
     code = (
-        "import time; from katoforms.fields import PrimeField, _is_prime; "
+        "import time; from katoforms.fields import FunctionField, _is_prime; "
         "t = time.perf_counter(); "
-        "ok = [_is_prime(10**18 + 3), _is_prime(2**61 - 1), PrimeField(10**18 + 3).p > 0]; "
+        "ok = [_is_prime(10**18 + 3), _is_prime(2**61 - 1), "
+        "FunctionField(10**18 + 3, ('x',)).p > 0]; "
         "print(ok, time.perf_counter() - t)"
     )
     out = _python(["-c", code])

@@ -42,9 +42,9 @@ def _reference_exact_div(a, b):
     field = a.field
     p = field.p
     if b.is_const():
-        return a.scale(field.prime.inv(b.const_value()))
+        return a.scale(field.inv(b.const_value()))
     lead_b, lc_b = b.leading()
-    inv_lcb = field.prime.inv(lc_b)
+    inv_lcb = field.inv(lc_b)
     quo: dict = {}
     rem = a
     while not rem.is_zero():

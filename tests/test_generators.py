@@ -8,6 +8,7 @@ import pytest
 from katoforms import (
     AdaptedData,
     BadExponent,
+    CertificateFailed,
     DiffForm,
     FunctionField,
     GeneratorSpec,
@@ -196,6 +197,11 @@ def test_log_generators_check_each_tail_once(f2xy, monkeypatch):
     assert len(gens) == 16 and len(checked) == 3
     # each generator still passes the whole check on its own
     assert all(g.check_shape() for g in gens)
+    # a tail that is not log-fixed is refused; the empty tail is never checked
+    monkeypatch.setattr(generators, "nu_member", lambda form: False)
+    with pytest.raises(CertificateFailed, match="lost its factored shape"):
+        log_kernel_generators(f2xy, ((x, 2),), 2, [y], [[x * y]])
+    assert len(log_kernel_generators(f2xy, ((x, 2),), 1, [y], [[]])) == 3
 
 
 def test_rebase_permutation(f2xyz):

@@ -24,9 +24,7 @@ from katoforms import (
     IsometryCert,
     LagrangianCert,
     LogGenerator,
-    PBasis,
     PfisterSymbol,
-    PrimeField,
     ReductionResult,
     SearchBounds,
     WittGenerator,
@@ -54,8 +52,6 @@ def _samples():
     plane = QuadForm.hyperbolic_plane(f)
     ext = build_adapted(f, AdaptedData(((0, 1),)))
     return {
-        PrimeField: dict(p=5),
-        PBasis: dict(vars=("x", "y")),
         SearchBounds: dict(max_degree=3, denominators=(x.num, y.num)),
         Certificate: dict(u=DiffForm.zero(f, 1), eta=DiffForm.scalar(f, x), field=f),
         ReductionResult: dict(
@@ -225,11 +221,11 @@ def test_generator_spec_checks_keep_their_messages(pairs, n, level, error, messa
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: PrimeField(0), "modulus 0 is not prime"),
-        (lambda: PrimeField(1), "modulus 1 is not prime"),
-        (lambda: PrimeField(4), "modulus 4 is not prime"),
-        (lambda: PrimeField(2**64 + 13), f"modulus {2**64 + 13} is not below 2^64"),
-        (lambda: PBasis(("x", "y", "x")), "duplicate variable names"),
+        (lambda: FunctionField(0, ("x",)), "modulus 0 is not prime"),
+        (lambda: FunctionField(1, ("x",)), "modulus 1 is not prime"),
+        (lambda: FunctionField(4, ("x",)), "modulus 4 is not prime"),
+        (lambda: FunctionField(2**64 + 13, ("x",)), f"modulus {2**64 + 13} is not below 2^64"),
+        (lambda: FunctionField(2, ("x", "y", "x")), "duplicate variable names"),
         (lambda: SearchBounds(True), "degree bound True is not an integer"),
         (lambda: SearchBounds(2.0), "degree bound 2.0 is not an integer"),
         (lambda: SearchBounds(-1), "degree bound -1 is negative"),

@@ -95,6 +95,53 @@ def test_infix_reader(f2xy):
         sexpr.parse_form_text("z dx", f2xy)
 
 
+def test_infix_reader_explicit_products_and_signs(f2xy):
+    x, y = f2xy.var(0), f2xy.var(1)
+    dx, dy = DiffForm.basis(f2xy, (0,)), DiffForm.basis(f2xy, (1,))
+    dxdy = DiffForm.basis(f2xy, (0, 1))
+    assert sexpr.parse_form_text("x * dx", f2xy) == dx.scale(x)
+    assert sexpr.parse_form_text("dx * x", f2xy) == dx.scale(x)
+    assert sexpr.parse_form_text("dx * dy", f2xy) == dxdy
+    assert sexpr.parse_form_text("dx^(dy)", f2xy) == dxdy
+    assert sexpr.parse_form_text("-x dy", f2xy) == -dy.scale(x)
+    assert sexpr.parse_form_text("x - -y", f2xy) == DiffForm.scalar(f2xy, x + y)
+    f3 = FunctionField.make(3, ["x"])
+    assert sexpr.parse_form_text("-x", f3) == DiffForm.scalar(f3, f3.var(0).scale(2))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^(2)", "parenthesized exponents must be integers"),
+        ("dx^2", "cannot raise a differential to a power"),
+        ("x / dy", "cannot divide by a differential form"),
+        ("x ! y", "unexpected character '!'"),
+        ("x\u00a0!", "unexpected character '!'"),
+    ],
+)
+def test_infix_reader_errors(f2xy, text, message):
+    with pytest.raises(ParseError) as caught:
+        sexpr.parse_form_text(text, f2xy)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, sexpr_tokens, expr_tokens",
+    [
+        # letters and digits of any script are word characters, as is "_"
+        ("\u00e9x_1+2", ["\u00e9x_1+2"], ["\u00e9x_1", "+", "2"]),
+        ("x\u00b2 (y)", ["x\u00b2", "(", "y", ")"], ["x\u00b2", "(", "y", ")"]),
+        # no-break space and the file separator \x1c are white space
+        ("x\u00a0y\x1c(z)", ["x", "y", "(", "z", ")"], ["x", "y", "(", "z", ")"]),
+        ("\t(dx^dy)\n", ["(", "dx^dy", ")"], ["(", "dx", "^", "dy", ")"]),
+        ("", [], []),
+    ],
+)
+def test_token_lists(text, sexpr_tokens, expr_tokens):
+    assert sexpr.tokenize(text) == sexpr_tokens
+    assert sexpr._lex_expr(text) == expr_tokens
+
+
 def test_infix_uppercase_vars():
     fld = FunctionField.make(2, ["X", "Y", "Z"])
     w = sexpr.parse_form_text("dX^dY", fld)
