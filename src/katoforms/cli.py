@@ -8,7 +8,13 @@ default seed used by randomized sections of ``selftest``.
 
 Mathematical objects cross the boundary as S-expressions (see ``sexpr``);
 forms may also be written in infix notation such as ``x dx`` or ``dX^dY``.
-An argument of the shape ``@path`` is read from the file at ``path``.
+The value of a string option of the shape ``@path`` is the text of the file
+at ``path``, on the command line and in a ``--job`` document alike; only
+``--ext`` (also spelled ``--spec``) is itself a path and is opened as given.
+
+Each command is declared once, in ``_COMMANDS``: its handler and its options
+with their defaults.  The command-line parser, the type checks of ``--job``
+options and the defaults a handler reads all come from that table.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import os
 import random
 import sys
-from typing import Callable, NoReturn, Optional
+from typing import Callable, Iterator, NoReturn, Optional
 
 from . import sexpr
 from .certificates import (
@@ -41,6 +47,7 @@ from .extensions import (
 )
 from .fields import (
     FunctionField,
+    RatFunc,
     frobenius_compose,
     frobenius_decompose,
     partial,
@@ -96,25 +103,13 @@ class JobSpec(Record):
     _defaults = {"seed": DEFAULT_SEED}
 
 
-def _read_arg(value: str) -> str:
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read().strip()
-    return value
-
-
 def _load_field(options: dict) -> FunctionField:
     text = options.get("field")
     if not text:
         raise KatoformsError("missing --field")
-    text = _read_arg(text)
     if text.lstrip().startswith("(field"):
         return sexpr.parse_field(text)
     return sexpr.parse_field_text(text)
-
-
-def _load_form(text: str, fld: FunctionField) -> DiffForm:
-    return sexpr.parse_form_text(_read_arg(text), fld)
 
 
 def _load_ext(options: dict):
@@ -159,17 +154,17 @@ def _level_option(options: dict, r: int, linear: bool) -> Level:
     """The level picked by --j, (0, e_j), when linear, else by --t and --k;
     r is the number of pairs, the slots that --j and --k address."""
     if linear:
-        if options.get("j") is None:
+        if options["j"] is None:
             raise KatoformsError("--kind linear needs --j, a slot index")
         j = int(options["j"])
         if not 0 <= j < r:
             raise KatoformsError(f"--j {j} is not a slot index in 0..{r - 1}")
         return 0, unit_vector(r, j)
-    if options.get("t") is None:
-        if options.get("j") is not None:
+    if options["t"] is None:
+        if options["j"] is not None:
             raise KatoformsError("--j picks a linear slot and needs --kind linear")
         raise KatoformsError("give either --j or --t/--k to pick the generator")
-    if options.get("k") is None:
+    if options["k"] is None:
         raise KatoformsError("--t needs --k, the comma-separated exponent vector")
     try:
         k = tuple(int(c) for c in str(options["k"]).split(","))
@@ -182,15 +177,19 @@ def _level_option(options: dict, r: int, linear: bool) -> Level:
     return int(options["t"]), k
 
 
-def _parse_bounds(options: dict, fld: FunctionField) -> SearchBounds:
-    deg = int(options.get("deg", 6))
-    dens_text = options.get("dens", "1")
-    dens = []
-    for chunk in dens_text.split(","):
+def _scalars(text: str, fld: FunctionField) -> Iterator[tuple[str, RatFunc]]:
+    """The scalars of a comma-separated list, each with the chunk it was read
+    from, one at a time; empty chunks are skipped."""
+    for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
-        f = sexpr.parse_form_text(chunk, fld).scalar_value()
+        if chunk:
+            yield chunk, sexpr.parse_form_text(chunk, fld).scalar_value()
+
+
+def _parse_bounds(options: dict, fld: FunctionField) -> SearchBounds:
+    deg = int(options["deg"])
+    dens = []
+    for chunk, f in _scalars(options["dens"], fld):
         if not f.is_poly():
             raise KatoformsError(f"denominator {chunk!r} must be a polynomial")
         dens.append(f.num)
@@ -209,7 +208,7 @@ def _bounds_doc(bounds: SearchBounds) -> dict:
 
 def _cmd_classify(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    omega = _load_form(options["form"], fld)
+    omega = sexpr.parse_form_text(options["form"], fld)
     result: dict = form_class(omega)._asdict()
     bounds = _parse_bounds(options, fld)
     cert = solve_wp_plus_d(omega, bounds)
@@ -224,8 +223,8 @@ def _cmd_classify(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_cartier(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    omega = _load_form(options["form"], fld)
-    if options.get("raw"):
+    omega = sexpr.parse_form_text(options["form"], fld)
+    if options["raw"]:
         image = cartier_raw(omega)
     else:
         image = cartier(omega)
@@ -234,13 +233,13 @@ def _cmd_cartier(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_restrict(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
-    omega = _load_form(options["form"], ext.source)
+    omega = sexpr.parse_form_text(options["form"], ext.source)
     image = restrict(omega, ext)
     result = {
         "restricted": sexpr.print_form(image),
         "vanishes": image.is_zero(),
     }
-    if options.get("data"):
+    if options["data"]:
         data = _parse_data(options["data"], ext.source)
         result["syntactic_kernel_member"] = omega_kernel_member(omega, data)
     elif ext.adapted is not None:
@@ -250,9 +249,9 @@ def _cmd_restrict(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_kernel_test(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    omega = _load_form(options["form"], fld)
+    omega = sexpr.parse_form_text(options["form"], fld)
     data = _parse_data(options["data"], fld)
-    if options.get("nu"):
+    if options["nu"]:
         member = nu_kernel_member(omega, data)
         kind = "nu-kernel"
     else:
@@ -266,10 +265,9 @@ def _cmd_kf_gens(options: dict, seed: int) -> tuple[int, dict]:
     pairs = _adapted_pairs(ext, "generator enumeration needs")
     fld = ext.source
     n = int(options["n"])
-    inst_text = _read_arg(options["inst"])
     insts = [
         sexpr.parse_form_text(line, fld)
-        for line in inst_text.splitlines()
+        for line in options["inst"].splitlines()
         if line.strip()
     ]
     out = [
@@ -284,10 +282,10 @@ def _cmd_kf_gens(options: dict, seed: int) -> tuple[int, dict]:
 
 
 def _cmd_verify_cert(options: dict, seed: int) -> tuple[int, dict]:
-    cert = sexpr.parse_certificate(_read_arg(options["cert"]))
+    cert = sexpr.parse_certificate(options["cert"])
     fld = cert.field
-    lhs = _load_form(options["lhs"], fld)
-    rhs = _load_form(options["rhs"], fld)
+    lhs = sexpr.parse_form_text(options["lhs"], fld)
+    rhs = sexpr.parse_form_text(options["rhs"], fld)
     ok = verify_certificate(lhs, rhs, cert)
     return (0 if ok else 1), {"verified": ok}
 
@@ -296,8 +294,8 @@ def _cmd_vanish_cert(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
     pairs = _adapted_pairs(ext, "vanishing certificates need")
     n = int(options["n"])
-    inst = _load_form(options["inst"], ext.source)
-    kind = options.get("kind", KIND_POWER)
+    inst = sexpr.parse_form_text(options["inst"], ext.source)
+    kind = options["kind"]
     level = _level_option(options, len(pairs), kind == KIND_LINEAR)
     spec = GeneratorSpec(pairs, n, level)
     if spec.kind != kind:
@@ -316,11 +314,7 @@ def _cmd_witt_gens(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
     data = _parse_data(options["data"], fld)
     pairs = _pairs(fld, data)
-    s_list = [
-        sexpr.parse_form_text(chunk.strip(), fld).scalar_value()
-        for chunk in options["s"].split(",")
-        if chunk.strip()
-    ]
+    s_list = [s for _, s in _scalars(options["s"], fld)]
     out = [
         {
             "s": sexpr.print_ratfunc(g.s),
@@ -337,13 +331,13 @@ def _cmd_check_hyperbolic(options: dict, seed: int) -> tuple[int, dict]:
     ext = _load_ext(options)
     pairs = _adapted_pairs(ext, "hyperbolicity checks need")
     fld = ext.source
-    s = sexpr.parse_form_text(_read_arg(options["s"]), fld).scalar_value()
-    level = _level_option(options, len(pairs), options.get("j") is not None)
+    s = sexpr.parse_form_text(options["s"], fld).scalar_value()
+    level = _level_option(options, len(pairs), options["j"] is not None)
     if level not in generator_levels(pairs, 2):
         raise KatoformsError("no generator matches the requested pattern")
     g = quad_kernel_generator(pairs, s, level)
-    if options.get("form"):
-        supplied = sexpr.parse_quadform(_read_arg(options["form"]), fld)
+    if options["form"]:
+        supplied = sexpr.parse_quadform(options["form"], fld)
         if supplied != g.form:
             raise KatoformsError("supplied form does not match the requested generator")
     chain = hyperbolicity_certificate(g, ext)
@@ -370,10 +364,10 @@ def _cmd_check_hyperbolic(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_arf(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    q = sexpr.parse_quadform(_read_arg(options["form"]), fld)
+    q = sexpr.parse_quadform(options["form"], fld)
     rep = arf(q)
     result = {"arf": sexpr.print_ratfunc(rep)}
-    if options.get("check_trivial"):
+    if options["check_trivial"]:
         bounds = _parse_bounds(options, fld)
         result["bounds"] = _bounds_doc(bounds)
         cert = solve_wp_plus_d(DiffForm.scalar(fld, rep), bounds)
@@ -387,13 +381,9 @@ def _cmd_arf(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_kato_map(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    slots = tuple(
-        sexpr.parse_form_text(chunk.strip(), fld).scalar_value()
-        for chunk in options.get("slots", "").split(",")
-        if chunk.strip()
-    )
-    if options.get("tail"):
-        tail = sexpr.parse_form_text(_read_arg(options["tail"]), fld).scalar_value()
+    slots = tuple(s for _, s in _scalars(options["slots"], fld))
+    if options["tail"]:
+        tail = sexpr.parse_form_text(options["tail"], fld).scalar_value()
         image = kato_f(PfisterSymbol(slots, tail))
         name = f"f_{len(slots)}"
     else:
@@ -404,7 +394,7 @@ def _cmd_kato_map(options: dict, seed: int) -> tuple[int, dict]:
 
 def _cmd_oracle_solve(options: dict, seed: int) -> tuple[int, dict]:
     fld = _load_field(options)
-    omega = _load_form(options["form"], fld)
+    omega = sexpr.parse_form_text(options["form"], fld)
     bounds = _parse_bounds(options, fld)
     result: dict = {"bounds": _bounds_doc(bounds)}
     cert = solve_wp_plus_d(omega, bounds)
@@ -553,7 +543,7 @@ _SELFTEST_SECTIONS: dict[str, Callable[[random.Random], None]] = {
 
 def _cmd_selftest(options: dict, seed: int) -> tuple[int, dict]:
     wanted = None
-    if options.get("sections"):
+    if options["sections"]:
         wanted = {s.strip() for s in options["sections"].split(",") if s.strip()}
         unknown = sorted(wanted - _SELFTEST_SECTIONS.keys())
         if unknown:
@@ -581,22 +571,63 @@ def _cmd_selftest(options: dict, seed: int) -> tuple[int, dict]:
     }
 
 
-_HANDLERS: dict[str, Callable[[dict, int], tuple[int, dict]]] = {
-    "classify": _cmd_classify,
-    "cartier": _cmd_cartier,
-    "restrict": _cmd_restrict,
-    "kernel-test": _cmd_kernel_test,
-    "kf-gens": _cmd_kf_gens,
-    "verify-cert": _cmd_verify_cert,
-    "vanish-cert": _cmd_vanish_cert,
-    "witt-gens": _cmd_witt_gens,
-    "check-hyperbolic": _cmd_check_hyperbolic,
-    "arf": _cmd_arf,
-    "kato-map": _cmd_kato_map,
-    "oracle-solve": _cmd_oracle_solve,
-    "validate-ext": _cmd_validate_ext,
-    "selftest": _cmd_selftest,
+# -- the command table ----------------------------------------------------------
+
+REQUIRED = object()  # the default of an option a command cannot run without
+
+# Each option name means the same in every command: a default of False makes
+# it a flag, and these tables say which names take integers, which take one
+# of a fixed set of values and which have a second spelling.
+_INTS = frozenset({"deg", "n", "j", "t"})
+_CHOICES = {"kind": (KIND_LINEAR, KIND_POWER)}
+_SPELLINGS = {"ext": ("--ext", "--spec"), "check_trivial": ("--check-trivial",)}
+_NOT_READ = _INTS | {"ext"}  # --ext is itself a path
+_BOUNDS = {"deg": 6, "dens": "1"}
+_LEVEL = {"j": None, "t": None, "k": None}
+
+_COMMANDS: dict[str, tuple[Callable[[dict, int], tuple[int, dict]], dict]] = {
+    "classify": (_cmd_classify, {"form": REQUIRED, "field": REQUIRED, **_BOUNDS}),
+    "cartier": (_cmd_cartier, {"form": REQUIRED, "field": REQUIRED, "raw": False}),
+    "restrict": (_cmd_restrict, {"form": REQUIRED, "ext": REQUIRED, "data": None}),
+    "kernel-test": (
+        _cmd_kernel_test,
+        {"form": REQUIRED, "field": REQUIRED, "data": REQUIRED, "nu": False},
+    ),
+    "kf-gens": (_cmd_kf_gens, {"ext": REQUIRED, "n": REQUIRED, "inst": REQUIRED}),
+    "verify-cert": (
+        _cmd_verify_cert, {"lhs": REQUIRED, "rhs": REQUIRED, "cert": REQUIRED}
+    ),
+    "vanish-cert": (
+        _cmd_vanish_cert,
+        {"ext": REQUIRED, "n": REQUIRED, "inst": REQUIRED, "kind": KIND_POWER, **_LEVEL},
+    ),
+    "witt-gens": (_cmd_witt_gens, {"field": REQUIRED, "data": REQUIRED, "s": REQUIRED}),
+    "check-hyperbolic": (
+        _cmd_check_hyperbolic, {"form": None, "ext": REQUIRED, "s": REQUIRED, **_LEVEL}
+    ),
+    "arf": (
+        _cmd_arf,
+        {"form": REQUIRED, "field": REQUIRED, "check_trivial": False, **_BOUNDS},
+    ),
+    "kato-map": (_cmd_kato_map, {"field": REQUIRED, "slots": "", "tail": None}),
+    "oracle-solve": (_cmd_oracle_solve, {"form": REQUIRED, "field": REQUIRED, **_BOUNDS}),
+    "validate-ext": (_cmd_validate_ext, {"ext": REQUIRED}),
+    "selftest": (_cmd_selftest, {"sections": None}),
 }
+
+
+def _handler_options(defaults: dict, given: dict) -> dict:
+    """The options a handler reads: the command's defaults under the given
+    values, with each string option but the path --ext read from its file
+    when it has the shape ``@path``."""
+    options = {name: v for name, v in defaults.items() if v is not REQUIRED}
+    options.update(given)
+    for name in defaults:
+        value = options.get(name)
+        if name not in _NOT_READ and isinstance(value, str) and value.startswith("@"):
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                options[name] = fh.read().strip()
+    return options
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
@@ -607,12 +638,12 @@ def run(job: JobSpec) -> tuple[int, dict]:
         "inputs": job.options,
         "seed": job.seed,
     }
-    handler = _HANDLERS.get(job.command)
+    handler, defaults = _COMMANDS.get(job.command, (None, {}))
     if handler is None:
         report["error"] = f"unknown command {job.command!r}"
         return 3, report
     try:
-        code, result = handler(job.options, job.seed)
+        code, result = handler(_handler_options(defaults, job.options), job.seed)
     except (KatoformsError, OSError, KeyError, ValueError) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return 3, report
@@ -640,123 +671,47 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the JSON report to this file")
     parser.add_argument("--job", help="run a JobSpec from a JSON file")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name: str, *args: tuple) -> None:
-        sp_ = sub.add_parser(name)
+    for command, (_, defaults) in _COMMANDS.items():
+        sp_ = sub.add_parser(command)
         # accepted after the subcommand too; SUPPRESS keeps a top-level value
         sp_.add_argument(
             "--out", default=argparse.SUPPRESS, help="write the JSON report here"
         )
-        for flags, kwargs in args:
-            sp_.add_argument(*flags, **kwargs)
-
-    form_arg = (("--form",), {"required": True})
-    field_arg = (("--field",), {"required": True})
-    bounds_args = [
-        (("--deg",), {"type": int, "default": 6}),
-        (("--dens",), {"default": "1"}),
-    ]
-    add("classify", form_arg, field_arg, *bounds_args)
-    add("cartier", form_arg, field_arg, (("--raw",), {"action": "store_true"}))
-    add(
-        "restrict",
-        form_arg,
-        (("--ext",), {"required": True}),
-        (("--data",), {"default": None}),
-    )
-    add(
-        "kernel-test",
-        form_arg,
-        field_arg,
-        (("--data",), {"required": True}),
-        (("--nu",), {"action": "store_true"}),
-    )
-    add(
-        "kf-gens",
-        (("--spec", "--ext"), {"dest": "ext", "required": True}),
-        (("--n",), {"required": True, "type": int}),
-        (("--inst",), {"required": True}),
-    )
-    add(
-        "verify-cert",
-        (("--lhs",), {"required": True}),
-        (("--rhs",), {"required": True}),
-        (("--cert",), {"required": True}),
-    )
-    add(
-        "vanish-cert",
-        (("--spec", "--ext"), {"dest": "ext", "required": True}),
-        (("--n",), {"required": True, "type": int}),
-        (("--inst",), {"required": True}),
-        (("--kind",), {"choices": [KIND_LINEAR, KIND_POWER], "default": KIND_POWER}),
-        (("--j",), {"type": int, "default": None}),
-        (("--t",), {"type": int, "default": None}),
-        (("--k",), {"default": None}),
-    )
-    add(
-        "witt-gens",
-        field_arg,
-        (("--data",), {"required": True}),
-        (("--s",), {"required": True}),
-    )
-    add(
-        "check-hyperbolic",
-        (("--form",), {"default": None}),
-        (("--ext",), {"required": True}),
-        (("--s",), {"required": True}),
-        (("--j",), {"type": int, "default": None}),
-        (("--t",), {"type": int, "default": None}),
-        (("--k",), {"default": None}),
-    )
-    add(
-        "arf",
-        form_arg,
-        field_arg,
-        (("--check-trivial",), {"dest": "check_trivial", "action": "store_true"}),
-        *bounds_args,
-    )
-    add(
-        "kato-map",
-        field_arg,
-        (("--slots",), {"default": ""}),
-        (("--tail",), {"default": None}),
-    )
-    add("oracle-solve", form_arg, field_arg, *bounds_args)
-    add("validate-ext", (("--ext",), {"required": True}))
-    add("selftest", (("--sections",), {"default": None}))
+        for name, default in defaults.items():
+            if default is REQUIRED:
+                kwargs: dict = {"required": True}
+            elif default is False:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"default": default}
+            if name in _INTS:
+                kwargs["type"] = int
+            if name in _CHOICES:
+                kwargs["choices"] = _CHOICES[name]
+            sp_.add_argument(*_SPELLINGS.get(name, (f"--{name}",)), dest=name, **kwargs)
     return parser
 
 
-def _job_option_error(
-    parser: argparse.ArgumentParser, command: str, options: dict
-) -> Optional[str]:
+def _job_option_error(command: str, options: dict) -> Optional[str]:
     """Why a job option's value is not one its flag takes, or None.
 
-    A flag with ``type=int`` takes an int or a string, a ``store_true`` flag
-    a bool, any other flag a string, and a flag with choices one of them;
-    options of unknown commands and names no flag defines are left to the
-    command.
+    A flag takes a bool, an integer option an int or a string, any other
+    option a string, and an option with choices one of them; options of
+    unknown commands and names the command does not define are left to it.
     """
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sub = subparsers.choices.get(command)
-    if sub is None:
-        return None
-    actions = {a.dest: a for a in sub._actions}
+    defaults = _COMMANDS.get(command, (None, {}))[1]
     for name, value in options.items():
-        action = actions.get(name)
-        if action is None:
+        if name not in defaults:
             continue
-        if isinstance(action, argparse._StoreTrueAction):
+        if defaults[name] is False:
             ok, wanted = isinstance(value, bool), "a boolean"
-        elif action.type is int:
+        elif name in _INTS:
             ok = isinstance(value, (int, str)) and not isinstance(value, bool)
             wanted = "an integer or a string"
         else:
             ok, wanted = isinstance(value, str), "a string"
-        if action.choices is not None and value not in action.choices:
-            ok, wanted = False, f"one of {list(action.choices)}"
+        if name in _CHOICES and value not in _CHOICES[name]:
+            ok, wanted = False, f"one of {list(_CHOICES[name])}"
         if not ok:
             return f"option {name!r} of {command!r} must be {wanted}, got {value!r}"
     return None
@@ -790,7 +745,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             or isinstance(doc.get("seed"), bool)
         ):
             return _input_error("malformed job document")
-        problem = _job_option_error(parser, doc["command"], doc.get("options", {}))
+        problem = _job_option_error(doc["command"], doc.get("options", {}))
         if problem is not None:
             return _input_error(problem)
         job = JobSpec(

@@ -386,8 +386,8 @@ class _ExprParser:
         while self.peek() == "^":
             self.take()
             tok = self.peek()
-            if tok is not None and (tok.isdigit() or tok == "("):
-                if tok.isdigit():
+            if tok is not None and (tok.isdecimal() or tok == "("):
+                if tok.isdecimal():
                     n = int(self.take())
                 else:
                     rhs = self.atom()
@@ -412,7 +412,7 @@ class _ExprParser:
             return value
         if tok == "-":
             return -self.atom()
-        if tok.isdigit():
+        if tok.isdecimal():
             return DiffForm.scalar(self.field, self.field.const(int(tok)))
         if tok in self.field.vars:
             return DiffForm.scalar(self.field, self.field.var_named(tok))

@@ -579,3 +579,197 @@ def test_seed_env_override(monkeypatch, capsys, value, code):
         assert report["seed"] == 424242
     else:
         assert "KATOFORMS_SEED" in report["error"]
+
+
+def _argv(command, options):
+    """The command line that passes options as flags; True is a bare flag."""
+    argv = [command]
+    for name, value in options.items():
+        argv.append("--" + name.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
+def _main_report(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _job_report(tmp_path, capsys, command, options):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": command, "options": options}))
+    return _main_report(capsys, ["--job", str(path)])
+
+
+@pytest.mark.parametrize(
+    "command, options, name, value",
+    [
+        ("classify", {"form": "x dx", "field": "F2(x,y)", "deg": "3"}, "dens", "1,x"),
+        ("kernel-test", {"form": "dx^dy", "field": "F2(x,y,z)"}, "data", "x:2"),
+        ("witt-gens", {"field": "F2(x,y)", "data": "x:2"}, "s", "y,x+y"),
+        ("kato-map", {"field": "F2(x,y)", "tail": "y"}, "slots", "x,y"),
+        ("check-hyperbolic", {"ext": "{ext}", "s": "y", "t": "1"}, "k", "1,0"),
+        ("selftest", {}, "sections", "fields"),
+    ],
+    ids=["dens", "data", "witt-s", "slots", "k", "sections"],
+)
+@pytest.mark.parametrize("mode", ["argv", "job"])
+def test_string_options_read_at_path(
+    tmp_path, capsys, ext_file, mode, command, options, name, value
+):
+    # an @path value is the file's text, stripped, in either mode
+    options = {k: v.replace("{ext}", ext_file) for k, v in options.items()}
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"  {value}\n")
+    reports = []
+    for given in (value, f"@{path}"):
+        if mode == "argv":
+            reports.append(_main_report(capsys, _argv(command, {**options, name: given})))
+        else:
+            reports.append(_job_report(tmp_path, capsys, command, {**options, name: given}))
+    (code, literal), (code_at, at_path) = reports
+    assert "error" not in at_path and code_at == code == 0
+    assert at_path["result"] == literal["result"]
+
+
+def test_ext_is_a_path_even_when_it_starts_with_at(tmp_path, capsys, monkeypatch, ext_file):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@x").write_text(open(ext_file).read())
+    code, report = _main_report(capsys, ["validate-ext", "--ext", "@x"])
+    assert code == 0 and report["result"]["normalized"]["format"] == "katoforms-ext-1"
+    code, report = _job_report(tmp_path, capsys, "validate-ext", {"ext": "@x"})
+    assert code == 0 and report["inputs"] == {"ext": "@x"}
+
+
+@pytest.mark.parametrize("command", ["restrict", "check-hyperbolic", "kf-gens"])
+def test_spec_is_a_second_name_of_ext(capsys, ext_file, command):
+    options = {
+        "restrict": ["--form", "dy"],
+        "check-hyperbolic": ["--s", "y", "--j", "0"],
+        "kf-gens": ["--n", "1", "--inst", "y"],
+    }[command]
+    reports = [_main_report(capsys, [command, flag, ext_file, *options])
+               for flag in ("--ext", "--spec")]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_options_a_command_does_not_define_are_neither_read_nor_checked(tmp_path, capsys):
+    # "sections" belongs to selftest and "bogus" to no command; classify ignores both
+    plain = {"form": "x dx", "field": "F2(x)"}
+    extra = {"sections": 5, "bogus": f"@{tmp_path / 'missing.txt'}"}
+    code, report = _job_report(tmp_path, capsys, "classify", {**plain, **extra})
+    assert code == 0 and report["inputs"] == {**plain, **extra}
+    assert report["result"] == _run("classify", **plain)[1]["result"]
+
+
+
+@pytest.mark.parametrize(
+    "command, options, error",
+    [
+        ("classify", {"field": "F2(x)"}, "KeyError: 'form'"),
+        ("classify", {"form": "x dx"}, "KatoformsError: missing --field"),
+        ("restrict", {"form": "dx"}, "KatoformsError: missing --ext"),
+        ("witt-gens", {"field": "F2(x,y)", "s": "y"}, "KeyError: 'data'"),
+    ],
+)
+def test_missing_job_options_are_named(command, options, error):
+    # a job run in process has no command line to demand its options
+    code, report = _run(command, **options)
+    assert (code, report["error"]) == (3, error)
+
+
+def _oracle_certificate():
+    _, report = _run("oracle-solve", form="x dx", field="F2(x)", deg=6, dens="1")
+    return report["result"]["certificate"]
+
+
+# [1, x^2 + x], whose Arf representative x^2 + x is wp(x)
+ARF_FORM = (
+    "(quad 2 ((0 0) (rat (poly 2 (term 1 (0))) (poly 2 (term 1 (0)))))"
+    " ((0 1) (rat (poly 2 (term 1 (0))) (poly 2 (term 1 (0)))))"
+    " ((1 1) (rat (poly 2 (term 1 (2)) (term 1 (1))) (poly 2 (term 1 (0))))))"
+)
+
+# per command, the options it needs, then every other option it takes, all
+# given as the strings a command line passes
+COMMAND_OPTIONS = [
+    ("classify", {"form": "x dx", "field": "F2(x,y)"}, {"deg": "3", "dens": "1,x"}),
+    ("cartier", {"form": "y dx", "field": "F2(x,y)"}, {"raw": True}),
+    ("restrict", {"form": "dy", "ext": "{ext}"}, {"data": "x:2"}),
+    ("kernel-test", {"form": "dy^dz", "field": "F2(x,y,z)", "data": "x:2"}, {"nu": True}),
+    ("kf-gens", {"ext": "{ext}", "n": "1", "inst": "y"}, {}),
+    ("verify-cert", {"lhs": "x dx", "rhs": "(form 1)", "cert": "{cert}"}, {}),
+    ("vanish-cert", {"ext": "{ext}", "n": "1", "inst": "y", "t": "1", "k": "1,0"},
+     {"kind": "power"}),
+    ("witt-gens", {"field": "F2(x,y)", "data": "x:2", "s": "y,1"}, {}),
+    ("check-hyperbolic", {"ext": "{ext}", "s": "y", "j": "0"}, {}),
+    ("arf", {"form": "{quad}", "field": "F2(x)"},
+     {"check_trivial": True, "deg": "2", "dens": "1"}),
+    ("kato-map", {"field": "F2(x,y)"}, {"slots": "x", "tail": "y"}),
+    ("oracle-solve", {"form": "y dx / x", "field": "F2(x,y)"}, {"deg": "4", "dens": "1,x"}),
+    ("validate-ext", {"ext": "{ext}"}, {}),
+    ("selftest", {}, {"sections": "fields"}),
+]
+
+
+@pytest.mark.parametrize("given", ["needed", "all"])
+@pytest.mark.parametrize(
+    "command, needed, optional", COMMAND_OPTIONS, ids=[c[0] for c in COMMAND_OPTIONS]
+)
+def test_argv_and_job_runs_agree(tmp_path, capsys, ext_file, command, needed, optional, given):
+    # the command line and a job document fill in the same defaults; without
+    # --raw cartier refuses y dx, and kato-map refuses an empty symbol
+    fill = {"{ext}": ext_file, "{quad}": ARF_FORM}
+    if command == "verify-cert":
+        fill["{cert}"] = _oracle_certificate()
+    options = {**needed, **optional} if given == "all" else dict(needed)
+    options = {k: fill.get(v, v) if isinstance(v, str) else v for k, v in options.items()}
+    code, by_argv = _main_report(capsys, _argv(command, options))
+    job_code, by_job = _job_report(tmp_path, capsys, command, options)
+    for key in ("result", "error"):
+        assert by_job.get(key) == by_argv.get(key)
+    assert job_code == code and (code == 3) == ("error" in by_argv)
+
+
+# every option of every command with what it takes: a string unless marked
+OPTION_KINDS = {
+    "classify": "form field deg:int dens",
+    "cartier": "form field raw:flag",
+    "restrict": "form ext data",
+    "kernel-test": "form field data nu:flag",
+    "kf-gens": "ext n:int inst",
+    "verify-cert": "lhs rhs cert",
+    "vanish-cert": "ext n:int inst kind:kind j:int t:int k",
+    "witt-gens": "field data s",
+    "check-hyperbolic": "form ext s j:int t:int k",
+    "arf": "form field check_trivial:flag deg:int dens",
+    "kato-map": "field slots tail",
+    "oracle-solve": "form field deg:int dens",
+    "validate-ext": "ext",
+    "selftest": "sections",
+}
+WRONG_VALUES = {
+    "str": (5, "a string"),
+    "int": (1.5, "an integer or a string"),
+    "flag": ("yes", "a boolean"),
+    "kind": ("bogus", "one of ['linear', 'power']"),
+}
+OPTION_CASES = [
+    (command, *(entry.split(":") + ["str"])[:2])
+    for command, entries in OPTION_KINDS.items()
+    for entry in entries.split()
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, kind", OPTION_CASES, ids=[f"{c}-{n}" for c, n, _ in OPTION_CASES]
+)
+def test_job_options_of_the_wrong_type_are_named(tmp_path, capsys, command, name, kind):
+    value, wanted = WRONG_VALUES[kind]
+    code, report = _job_report(tmp_path, capsys, command, {name: value})
+    assert code == 3
+    assert report == {
+        "format": "katoforms-report-1",
+        "error": f"option {name!r} of {command!r} must be {wanted}, got {value!r}",
+    }

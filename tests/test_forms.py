@@ -1,5 +1,7 @@
 """Exterior calculus: d, wedge, semilinear maps, Cartier decision rules."""
 
+import random
+
 import pytest
 
 from katoforms import (
@@ -12,6 +14,8 @@ from katoforms import (
     cartier_raw,
     d,
     dlog,
+    frobenius_decompose,
+    grade_decompose,
     integrate,
     is_exact,
     nu_member,
@@ -21,7 +25,7 @@ from katoforms import (
     wedge,
     wp,
 )
-from katoforms.forms import random_form_rng
+from katoforms.forms import random_form_rng, to_log
 
 
 def test_d_examples(f2xy):
@@ -180,3 +184,29 @@ def test_integrate_rejects_non_exact(f2x):
         integrate(DiffForm.basis(f2x, (0,)).scale(x))  # closed, not exact
     with pytest.raises(NotExact):
         integrate(DiffForm.scalar(f2x, x))
+
+
+@pytest.mark.parametrize(
+    "p, names, seed",
+    [(2, "xy", 11), (2, "xyz", 12), (3, "xy", 13), (5, "xy", 14)],
+)
+def test_grade_decompose_splits_by_frobenius_grade(p, names, seed):
+    # omega is the sum of its grade-j pieces, the piece of grade j has log
+    # coefficients g^p x^j only, and d preserves the grade
+    fld = FunctionField.make(p, list(names))
+    rng = random.Random(seed)
+    for _ in range(6):
+        n = rng.randrange(fld.nvars)
+        omega = random_form_rng(fld, n, 3, 3, rng)
+        pieces = grade_decompose(omega)
+        total = DiffForm.zero(fld, n)
+        for piece in pieces.values():
+            total = total + piece
+        assert total == omega
+        for j, piece in pieces.items():
+            log = to_log(piece)
+            assert log and all(set(frobenius_decompose(c)) == {j} for c in log.values())
+        d_pieces = grade_decompose(d(omega))
+        for j in pieces.keys() | d_pieces.keys():
+            d_of_piece = d(pieces.get(j, DiffForm.zero(fld, n)))
+            assert d_pieces.get(j, DiffForm.zero(fld, n + 1)) == d_of_piece

@@ -117,6 +117,9 @@ def test_infix_reader_explicit_products_and_signs(f2xy):
         ("x / dy", "cannot divide by a differential form"),
         ("x ! y", "unexpected character '!'"),
         ("x\u00a0!", "unexpected character '!'"),
+        # a superscript digit is a digit to str.isdigit but no integer to int()
+        ("x + \u00b2", "unknown symbol '\u00b2'"),
+        ("x^\u00b2", "unknown symbol '\u00b2'"),
     ],
 )
 def test_infix_reader_errors(f2xy, text, message):
