@@ -15,11 +15,21 @@ at ``path``, on the command line and in a ``--job`` document alike; only
 Each command is declared once, in ``_COMMANDS``: its handler and its options
 with their defaults.  The command-line parser, the type checks of ``--job``
 options and the defaults a handler reads all come from that table.
+
+``batch --jobs FILE`` runs many jobs in one process: FILE (``-`` for standard
+input) holds one ``--job`` document per line, and each non-blank line gives
+one output line ``{"code": <exit code>, "report": <report>}``, the report
+being the one ``--job`` gives for that document run alone.  A malformed line
+gets code 3 and the batch goes on; the batch exits 3 only when FILE cannot be
+read, and 0 otherwise.  Jobs in one process share the oracle's memo of
+systems and the memo of extensions: an extension file is parsed and its
+identities certified once per process for each distinct content.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -112,12 +122,21 @@ def _load_field(options: dict) -> FunctionField:
     return sexpr.parse_field_text(text)
 
 
+@functools.lru_cache(maxsize=8)
+def _extension(text: str):
+    """The extension a spec text describes, parsed and certified once for
+    each of the 8 most recently used texts; a text that fails to load is
+    not kept.  Jobs share the value, which is immutable."""
+    return extension_from_json(text)
+
+
 def _load_ext(options: dict):
     path = options.get("ext")
     if not path:
         raise KatoformsError("missing --ext")
+    # keyed by the file's content, so an edited file is read anew
     with open(path, "r", encoding="utf-8") as fh:
-        return extension_from_json(fh.read())
+        return _extension(fh.read())
 
 
 def _parse_data(text: str, fld: FunctionField) -> AdaptedData:
@@ -689,6 +708,11 @@ def _build_parser() -> argparse.ArgumentParser:
             if name in _CHOICES:
                 kwargs["choices"] = _CHOICES[name]
             sp_.add_argument(*_SPELLINGS.get(name, (f"--{name}",)), dest=name, **kwargs)
+    batch = sub.add_parser("batch")
+    batch.add_argument("--out", default=argparse.SUPPRESS, help="write the report lines here")
+    batch.add_argument(
+        "--jobs", required=True, help="one --job document per line; - reads standard input"
+    )
     return parser
 
 
@@ -717,10 +741,64 @@ def _job_option_error(command: str, options: dict) -> Optional[str]:
     return None
 
 
+def _error_report(message: str) -> dict:
+    """The report of an input rejected before any job runs."""
+    return {"format": REPORT_FORMAT, "error": message}
+
+
 def _input_error(message: str) -> int:
     """Print the JSON report of an input rejected before any job runs."""
-    print(json.dumps({"format": REPORT_FORMAT, "error": message}, indent=2))
+    print(json.dumps(_error_report(message), indent=2))
     return 3
+
+
+def _job_document(text: str, seed: int) -> JobSpec:
+    """The job of a ``--job`` document, its seed defaulting to ``seed``;
+    raises ValueError saying why the text is no valid job document."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the parser's stack
+        raise ValueError(str(exc)) from None
+    if (
+        not isinstance(doc, dict)
+        or not isinstance(doc.get("command"), str)
+        or not isinstance(doc.get("options", {}), dict)
+        or not isinstance(doc.get("seed", 0), int)
+        or isinstance(doc.get("seed"), bool)
+    ):
+        raise ValueError("malformed job document")
+    problem = _job_option_error(doc["command"], doc.get("options", {}))
+    if problem is not None:
+        raise ValueError(problem)
+    return JobSpec(
+        command=doc["command"], options=doc.get("options", {}), seed=doc.get("seed", seed)
+    )
+
+
+def _batch_line(text: str, seed: int) -> str:
+    """The output line of one batch line: its exit code and the report that
+    ``--job`` gives for the same document."""
+    try:
+        job = _job_document(text, seed)
+    except ValueError as exc:
+        code, report = 3, _error_report(str(exc))
+    else:
+        code, report = run(job)
+    return json.dumps({"code": code, "report": report}, sort_keys=True)
+
+
+def _write(out: Optional[str], text: str, code: int = 0) -> int:
+    """Write text to the file ``out``, or to standard output when it is None;
+    returns code, or 3 when ``out`` cannot be written."""
+    if out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _input_error(f"cannot write the report to --out: {exc}")
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -734,25 +812,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     if ns.job:
         try:
             with open(ns.job, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                job = _job_document(fh.read(), seed)
+        except (OSError, ValueError) as exc:
             return _input_error(str(exc))
-        if (
-            not isinstance(doc, dict)
-            or not isinstance(doc.get("command"), str)
-            or not isinstance(doc.get("options", {}), dict)
-            or not isinstance(doc.get("seed", 0), int)
-            or isinstance(doc.get("seed"), bool)
-        ):
-            return _input_error("malformed job document")
-        problem = _job_option_error(doc["command"], doc.get("options", {}))
-        if problem is not None:
-            return _input_error(problem)
-        job = JobSpec(
-            command=doc["command"],
-            options=doc.get("options", {}),
-            seed=int(doc.get("seed", seed)),
-        )
+    elif ns.command == "batch":
+        try:
+            if ns.jobs == "-":
+                lines = sys.stdin.read().splitlines()
+            else:
+                with open(ns.jobs, "r", encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
+        except (OSError, ValueError) as exc:
+            return _input_error(f"cannot read --jobs: {exc}")
+        return _write(ns.out, "".join(_batch_line(t, seed) + "\n" for t in lines if t.strip()))
     elif ns.command:
         options = {
             k: v
@@ -765,16 +837,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_help()
         return 3
     code, report = run(job)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _input_error(f"cannot write the report to --out: {exc}")
-    else:
-        print(text)
-    return code
+    return _write(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n", code)
 
 
 if __name__ == "__main__":

@@ -272,7 +272,7 @@ def extension_to_json(ext: ExtensionSpec) -> str:
 def extension_from_json(text: str) -> ExtensionSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != EXT_FORMAT:
         raise ParseError(f"expected format tag {EXT_FORMAT!r}")

@@ -38,31 +38,32 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_sexpr(text: str) -> Node:
+    """The node of one S-expression: an atom, or a list of nodes.
+
+    One left-to-right scan with an explicit stack of the open lists, so any
+    nesting depth reads without recursion.
+    """
     tokens = tokenize(text)
-    pos = 0
-
-    def rec() -> Node:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    if not tokens:
+        raise ParseError("unexpected end of input")
+    last = len(tokens) - 1
+    stack: list[list] = []
+    for pos, tok in enumerate(tokens):
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(rec())
-            if pos >= len(tokens):
-                raise ParseError("unbalanced parentheses")
-            pos += 1
-            return items
-        if tok == ")":
+            stack.append([])
+            continue
+        if tok != ")":
+            node: Node = tok
+        elif stack:
+            node = stack.pop()
+        else:  # only the first token can close a list that was never opened
             raise ParseError("unexpected ')'")
-        return tok
-
-    node = rec()
-    if pos != len(tokens):
-        raise ParseError("trailing tokens after expression")
-    return node
+        if not stack:
+            if pos != last:
+                raise ParseError("trailing tokens after expression")
+            return node
+        stack[-1].append(node)
+    raise ParseError("unbalanced parentheses")
 
 
 def _as_int(node: Node, what: str) -> int:
@@ -124,11 +125,10 @@ def parse_field_text(text: str) -> FunctionField:
 
 
 def _print_poly(poly: MultiPoly) -> str:
-    parts = [f"(poly {poly.field.p}"]
-    for exp in sorted(poly.terms, key=_grlex_key, reverse=True):
-        exps = " ".join(str(e) for e in exp)
-        parts.append(f" (term {poly.terms[exp]} ({exps}))")
-    return "".join(parts) + ")"
+    terms = poly.terms
+    order = sorted(terms, key=_grlex_key, reverse=True) if len(terms) > 1 else terms
+    body = "".join([f" (term {terms[exp]} ({' '.join(map(str, exp))}))" for exp in order])
+    return f"(poly {poly.field.p}{body})"
 
 
 def _poly_from_node(node: Node, field: FunctionField) -> MultiPoly:
@@ -318,6 +318,12 @@ def _lex_expr(text: str) -> list[str]:
     return out
 
 
+# parentheses and unary minus signs an infix expression may nest; each level
+# of parentheses takes four frames of the recursive descent, so this keeps a
+# reader far below the interpreter's recursion limit
+MAX_EXPR_NESTING = 100
+
+
 class _ExprParser:
     """Infix reader producing a DiffForm (scalars are degree-0 forms).
 
@@ -329,6 +335,7 @@ class _ExprParser:
     def __init__(self, tokens: list[str], field: FunctionField):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.field = field
 
     def peek(self) -> str | None:
@@ -405,13 +412,18 @@ class _ExprParser:
 
     def atom(self) -> DiffForm:
         tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ParseError("expected ')'")
+        if tok in ("(", "-"):
+            if self.depth == MAX_EXPR_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_EXPR_NESTING} levels")
+            self.depth += 1
+            if tok == "(":
+                value = self.expr()
+                if self.take() != ")":
+                    raise ParseError("expected ')'")
+            else:
+                value = -self.atom()
+            self.depth -= 1
             return value
-        if tok == "-":
-            return -self.atom()
         if tok.isdecimal():
             return DiffForm.scalar(self.field, self.field.const(int(tok)))
         if tok in self.field.vars:

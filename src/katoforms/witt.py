@@ -256,14 +256,22 @@ def pfister_bil(sym: PfisterSymbol) -> BilForm:
 
 
 def pfister_quad(sym: PfisterSymbol) -> QuadForm:
-    """<< a_1, ..., a_n, b ]] of dimension 2^(n+1): iterated q -> q perp a q."""
+    """<< a_1, ..., a_n, b ]] of dimension 2^(n+1): iterated q -> q perp a q.
+
+    Built in one matrix: the iteration leaves the blocks c [1, b], one for
+    each product c of a subset of the slots, in the order of pfister_bil.
+    """
     if sym.tail is None:
         raise ValueError("quadratic Pfister form needs a tail")
     field = sym.tail.field
-    q = QuadForm.binary(field, field.one(), sym.tail)
+    coeffs = [field.one()]
     for a in sym.slots:
-        q = q.perp(q.scale(a))
-    return q
+        coeffs = coeffs + [c * a for c in coeffs]
+    m = _mat_zero(field, 2 * len(coeffs), 2 * len(coeffs))
+    for i, c in enumerate(coeffs):
+        m[2 * i][2 * i] = m[2 * i][2 * i + 1] = c
+        m[2 * i + 1][2 * i + 1] = c * sym.tail
+    return QuadForm(field, 2 * len(coeffs), m)
 
 
 # -- invariants and certificates ----------------------------------------------------

@@ -773,3 +773,31 @@ def test_job_options_of_the_wrong_type_are_named(tmp_path, capsys, command, name
         "format": "katoforms-report-1",
         "error": f"option {name!r} of {command!r} must be {wanted}, got {value!r}",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify-cert", "--lhs", "x dx", "--rhs", "(form 1)", "--cert", "@{parens}"],
+         "ParseError: expected (cert ...)"),
+        (["classify", "--field", "F2(x,y)", "--form", "(" * 400 + "x" + ")" * 400],
+         "ParseError: expression nested deeper than 100 levels"),
+        (["classify", "--field", "F2(x,y)", "--form=" + "-" * 2000 + "x"],
+         "ParseError: expression nested deeper than 100 levels"),
+        (["--job", "{brackets}"],
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        (["validate-ext", "--ext", "{brackets}"],
+         "ParseError: invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+         "array from a unicode string"),
+    ],
+    ids=["cert-parentheses", "form-parentheses", "form-minus", "job-brackets", "ext-brackets"],
+)
+def test_deeply_nested_input_is_exit_3(tmp_path, capsys, argv, error):
+    # input nested past the interpreter's recursion limit is an input error,
+    # not a RecursionError traceback
+    parens, brackets = tmp_path / "parens", tmp_path / "brackets"
+    parens.write_text("(" * 3000 + ")" * 3000)
+    brackets.write_text("[" * 100000 + "]" * 100000)
+    argv = [a.format(parens=parens, brackets=brackets) if "{" in a else a for a in argv]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == error

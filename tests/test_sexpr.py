@@ -1,5 +1,7 @@
 """Serialization round-trips and the infix form reader."""
 
+import random
+
 import pytest
 
 from katoforms import Certificate, DiffForm, FunctionField, ParseError, dlog
@@ -149,3 +151,116 @@ def test_infix_uppercase_vars():
     fld = FunctionField.make(2, ["X", "Y", "Z"])
     w = sexpr.parse_form_text("dX^dY", fld)
     assert w == DiffForm.basis(fld, (0, 1))
+
+
+# -- the reader at any depth ------------------------------------------------------
+
+
+def _recursive_reader(text):
+    """The recursive-descent reader that the one-scan reader replaced,
+    kept as the reference for shallow inputs."""
+    tokens = sexpr.tokenize(text)
+    pos = 0
+
+    def rec():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            items = []
+            while pos < len(tokens) and tokens[pos] != ")":
+                items.append(rec())
+            if pos >= len(tokens):
+                raise ParseError("unbalanced parentheses")
+            pos += 1
+            return items
+        if tok == ")":
+            raise ParseError("unexpected ')'")
+        return tok
+
+    node = rec()
+    if pos != len(tokens):
+        raise ParseError("trailing tokens after expression")
+    return node
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of input"),
+        (" \n\t", "unexpected end of input"),
+        (")", "unexpected ')'"),
+        (") (a)", "unexpected ')'"),
+        ("(", "unbalanced parentheses"),
+        ("(a (b c)", "unbalanced parentheses"),
+        ("((", "unbalanced parentheses"),
+        ("a b", "trailing tokens after expression"),
+        ("(a))", "trailing tokens after expression"),
+        ("(a) (b)", "trailing tokens after expression"),
+        ("a )", "trailing tokens after expression"),
+        ("() (", "trailing tokens after expression"),
+    ],
+)
+def test_malformed_sexpr_messages(text, message):
+    with pytest.raises(ParseError) as caught:
+        sexpr.parse_sexpr(text)
+    assert str(caught.value) == message
+    assert _read(_recursive_reader, text) == f"ParseError: {message}"
+
+
+def test_reader_matches_the_recursive_reader_on_random_strings():
+    gen = random.Random(20261020)
+    pieces = ["(", ")", "a", "bc", "12", " ", "  ", "\n"]
+    outcomes = set()
+    for _ in range(4000):
+        text = "".join(gen.choice(pieces) for _ in range(gen.randint(0, 16)))
+        if gen.random() < 0.5:  # well-nested strings, which a random draw rarely makes
+            text = "(" + text.replace(")", "") + " (x)" * gen.randint(0, 2) + ")" * (
+                text.count("(") + 1)
+        got = _read(sexpr.parse_sexpr, text)
+        assert got == _read(_recursive_reader, text), text
+        outcomes.add(got if isinstance(got, str) and got.startswith("ParseError") else "node")
+    # every outcome was drawn: a node and each of the four messages
+    assert len(outcomes) == 5
+
+
+def test_reader_takes_any_depth():
+    depth = 100000
+    node = sexpr.parse_sexpr("(" * depth + "x" + ")" * depth)
+    for _ in range(depth):
+        assert isinstance(node, list) and len(node) == 1
+        node = node[0]
+    assert node == "x"
+    with pytest.raises(ParseError, match="expected \\(cert ...\\)"):
+        sexpr.parse_certificate("(" * 3000 + ")" * 3000)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 400 + "x" + ")" * 400, "-" * 2000 + "x", "x^" + "(" * 200 + "dx" + ")" * 200,
+     "(-" * 60 + "x" + ")" * 60],
+    ids=["parentheses", "minus", "exponent", "mixed"],
+)
+def test_infix_reader_refuses_deep_nesting(f2xy, text):
+    with pytest.raises(ParseError) as caught:
+        sexpr.parse_form_text(text, f2xy)
+    assert str(caught.value) == (
+        f"expression nested deeper than {sexpr.MAX_EXPR_NESTING} levels"
+    )
+
+
+def test_infix_reader_takes_nesting_up_to_the_limit(f2xy):
+    n = sexpr.MAX_EXPR_NESTING
+    x = DiffForm.scalar(f2xy, f2xy.var(0))
+    assert sexpr.parse_form_text("(" * n + "x" + ")" * n, f2xy) == x
+    assert sexpr.parse_form_text("-" * n + "x", f2xy) == x
+    assert sexpr.parse_form_text("(-" * (n // 2) + "x" + ")" * (n // 2), f2xy) == x

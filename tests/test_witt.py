@@ -38,6 +38,7 @@ from katoforms import (
 from katoforms.cli import DEFAULT_SEED, JobSpec, run
 from katoforms.fields import RatFunc
 from katoforms.oracle import SearchBounds, artin_schreier_search
+from katoforms.sexpr import print_quadform
 from katoforms.witt import _mat_zero
 
 
@@ -56,6 +57,25 @@ def test_pfister_dimensions(f2xy):
     # three slots: dimension 2^4 for the quadratic form
     assert pfister_quad(PfisterSymbol((x, y, x + y), x * y)).dim == 16
     assert pfister_bil(PfisterSymbol((x, y, x + y))).dim == 8
+
+
+def test_pfister_quad_is_the_iterated_orthogonal_sum(f2xy):
+    # the one-matrix build equals q -> q perp a q entry for entry, also when
+    # products of the slots and the tail cancel denominators
+    x, y = f2xy.var(0), f2xy.var(1)
+    one = f2xy.one()
+    slot_sets = [(y,), (x, y), (x / y, y / (x + one)), (x, y, x + y), (one / x, x * y, y + one)]
+    for slots in slot_sets:
+        for tail in (x, x * y, (x + one) / y, one):
+            q = QuadForm.binary(f2xy, one, tail)
+            for a in slots:
+                q = q.perp(q.scale(a))
+            built = pfister_quad(PfisterSymbol(slots, tail))
+            assert built == q
+            assert print_quadform(built) == print_quadform(q)
+    f2x = FunctionField.make(2, ["x"])
+    with pytest.raises(FieldMismatch):
+        pfister_quad(PfisterSymbol((f2x.var(0),), x))
 
 
 def test_quadform_folds_a_full_matrix(f2xy):
