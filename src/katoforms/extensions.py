@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Union
 
-from .errors import CertificateFailed, NotAdapted, ParseError
+from .errors import CertificateFailed, FieldMismatch, NotAdapted, ParseError
 from .fields import FunctionField, RatFunc, pth_root, subfield_membership
 from .forms import DiffForm, d, nu_member, wedge
 from . import sexpr
@@ -72,12 +72,20 @@ class ExtensionSpec(Record):
     _compared = ("source", "target", "images", "insep_certs", "exponent")
     _defaults = {"adapted": None}
 
-    def image_map(self) -> dict[int, RatFunc]:
-        return dict(enumerate(self.images))
-
     def apply(self, f: RatFunc) -> RatFunc:
         """Pull a source element through the embedding."""
-        return f.substitute(self.image_map(), self.target)
+        if f.field != self.source:
+            raise FieldMismatch("element does not live over the source field")
+        return f.substitute(self.images, self.target)
+
+    def root(self, b: RatFunc, m: int) -> Optional[RatFunc]:
+        """The p^m-th root of phi(b) in E, or None when phi(b) has none."""
+        root = self.apply(b)
+        for _ in range(m):
+            root = pth_root(root)
+            if root is None:
+                return None
+        return root
 
 
 def _verify_certs(
@@ -94,13 +102,12 @@ def _verify_certs(
     cert_vars = [c.var for c in certs]
     if sorted(cert_vars) != sorted(target.vars):
         raise CertificateFailed("need exactly one certificate per target variable")
-    imap = dict(enumerate(images))
     for cert in certs:
         if cert.n < 0:
             raise CertificateFailed(f"negative exponent for {cert.var}")
         z = target.var_named(cert.var)
         lhs = z ** (source.p ** cert.n)
-        rhs = cert.g.substitute(imap, target)
+        rhs = cert.g.substitute(images, target)
         if lhs != rhs:
             raise CertificateFailed(
                 f"identity {cert.var}^(p^{cert.n}) = phi(g) fails"
@@ -243,7 +250,7 @@ def square_class_kernel(
 
 def square_class_kernel_oracle(f: RatFunc, ext: ExtensionSpec) -> bool:
     """Cross-check: p-th root of the restricted element exists over E."""
-    return pth_root(ext.apply(f)) is not None
+    return ext.root(f, 1) is not None
 
 
 # -- JSON interchange ------------------------------------------------------------

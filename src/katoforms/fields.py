@@ -52,7 +52,7 @@ member.  Either way the result is the monic gcd, which is unique.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import FieldMismatch, ZeroDenominator
 from .kernels import poly_add, poly_mul, poly_exact_div as kernel_exact_div
@@ -319,7 +319,7 @@ class MultiPoly:
             self.field, {tuple(e * p for e in exp): c for exp, c in self.terms.items()}
         )
 
-    def substitute(self, images: Mapping[int, "RatFunc"], target: FunctionField) -> "RatFunc":
+    def substitute(self, images: Sequence["RatFunc"], target: FunctionField) -> "RatFunc":
         """Evaluate under x_i -> images[i]; every variable must be mapped."""
         # the sum starts from the first term, not from a zero to add it to
         out = None
@@ -625,7 +625,7 @@ class RatFunc:
         """p-th power; exact because coefficients live in F_p."""
         return RatFunc(self.field, self.num.frobenius_power(), self.den.frobenius_power())
 
-    def substitute(self, images: Mapping[int, "RatFunc"], target: FunctionField) -> "RatFunc":
+    def substitute(self, images: Sequence["RatFunc"], target: FunctionField) -> "RatFunc":
         num = self.num.substitute(images, target)
         den = self.den.substitute(images, target)
         if den.is_zero():

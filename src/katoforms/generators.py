@@ -19,6 +19,12 @@ congruence-trivial form over the extension (the implementable inclusion),
 produces the logarithmic-shaped variant of the same system, and rewrites
 instances under the two rebasing moves (permutation, and trading (b, m)
 against (b^p, m+1)) with certified output.
+
+The roots beta_i = phi(b_i)^(1/p^(m_i)) that the witnesses need are taken
+from the embedding (``ExtensionSpec.root``), so they exist over every
+certified extension whose data have them, whether or not the b_i are
+distinguished variables.  The vanishing witness alone still needs an
+adapted extension: its telescope needs restriction to commute with sp.
 """
 
 from __future__ import annotations
@@ -211,29 +217,15 @@ def kernel_generators(
 
 
 def root_monomial(
-    pairs: Sequence[tuple[RatFunc, int]], k: Sequence[int], shift: int, ext: ExtensionSpec,
-    needs: str,
+    pairs: Sequence[tuple[RatFunc, int]], k: Sequence[int], shift: int, ext: ExtensionSpec
 ) -> RatFunc:
-    """prod z_i^((p^(m_i) k_i) / p^shift) in E, where z_i is the target
-    variable with z_i^(p^(m_i)) = b_i; the extension must be adapted to the
-    pairs.
-
-    ``needs`` names the construction in the error raised for an extension
-    without adapted data.
-    """
-    if ext.adapted is None:
-        raise UnsupportedExtension(f"{needs} need an adapted extension")
-    source, target = ext.source, ext.target
-    roots = []
-    for b, m in pairs:
-        idx = next((i for i in range(source.nvars) if b == source.var(i)), None)
-        if idx is None or ext.adapted.exponent_of(idx) != m:
-            raise UnsupportedExtension(
-                "generator data is not among the distinguished variables"
-            )
-        roots.append(target.var(idx))
-    p = target.p
-    return monomial(target, roots, [(p**m * ki) // p**shift for ki, (_, m) in zip(k, pairs)])
+    """prod beta_i^((p^(m_i) k_i) / p^shift) in E, where beta_i is the
+    p^(m_i)-th root of phi(b_i) (``ExtensionSpec.root``)."""
+    roots = [ext.root(b, m) for b, m in pairs]
+    if any(root is None for root in roots):
+        raise UnsupportedExtension("generator data has no p^m-th root over the extension")
+    p = ext.target.p
+    return monomial(ext.target, roots, [(p**m * ki) // p**shift for ki, (_, m) in zip(k, pairs)])
 
 
 def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
@@ -244,9 +236,15 @@ def vanish_certificate(g: GeneratorInstance, ext: ExtensionSpec) -> Certificate:
     monomial c: the power telescopes into the wp slot and d(c^p v) is the
     exact slot.  At level 0 (b_j d(v)) the telescope is empty and the
     witness is purely exact.
+
+    The telescope needs restriction to commute with sp, which the monomial
+    images of an adapted extension give; over any other extension this
+    raises ``UnsupportedExtension``.
     """
+    if ext.adapted is None:
+        raise UnsupportedExtension("vanishing witnesses need an adapted extension")
     t, k = g.spec.level
-    root_mono = root_monomial(g.spec.pairs, k, t, ext, "vanishing witnesses")
+    root_mono = root_monomial(g.spec.pairs, k, t, ext)
     target = ext.target
     value_e = restrict(g.value, ext)
     if value_e.is_zero():

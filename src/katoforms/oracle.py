@@ -40,13 +40,14 @@ depend on D, on the row order, on the packing or on the pivot rows chosen.
 The system is a function of the bounds: the candidates, D, the packing and
 the columns depend on (bounds, field, form degree, with or without wp) and
 not on omega, which only picks the right-hand side.  So each system is
-built once per bounds value and memoized (``Space``, ``System``) in a dict
-keyed by the bounds value: equal bounds share one system, whether or not
-the caller holds the bounds object, so in-process callers that make fresh
-equal bounds for every call, as ``cli.run`` does for each job, build it
-once.  The memo keeps the ``RECENT_BOUNDS`` most recently used values and
-drops the least recently used one beyond that.  The cap of 8 is set by
-memory.  An entry keeps a ``Space`` per field and a ``System`` per (form
+built once per bounds value and memoized (``Space``, ``System``) by
+``_spaces``, an ``lru_cache`` keyed by the bounds value: equal bounds
+share one system, whether or not the caller holds the bounds object, so
+in-process callers that make fresh equal bounds for every call, as
+``cli.run`` does for each job, build it once.  The memo keeps the 8 most
+recently used values and drops the least recently used one beyond that.
+The cap of 8 is set by memory.  An entry keeps a ``Space`` per field
+and a ``System`` per (form
 degree, with_wp) used on it, up to 2 nvars + 1 systems per field.  A
 system retains about 1/8 of its build's peak (22 MB against 174 MB at
 degree bound 20), so eight values used at one form degree each retain
@@ -72,7 +73,8 @@ reads 5 of the 852 pivot steps.  A target key in no row (an exponent at
 or above the radix, or a monomial no column reaches) is absent at once,
 as the empty row it would fill is infeasible.  Two threads may both build
 a missing system; the build is deterministic and a system is frozen once
-built, so either result serves.  The memo itself is updated under a lock.
+built, so either result serves.  The ``lru_cache`` keeps its own order of
+use consistent across threads.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -80,8 +82,8 @@ This module is deliberately independent of the constructive rewriting in
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from typing import Optional
 
 from .certificates import Certificate, verify_certificate
@@ -411,25 +413,10 @@ class System:
         return rhs
 
 
-# bounds -> {field: Space} for the RECENT_BOUNDS most recently used bounds
-# values; a dict keeps insertion order, so the first key is the least
-# recently used
-_SYSTEMS: dict[SearchBounds, dict] = {}
-_SYSTEMS_LOCK = threading.Lock()
-
-RECENT_BOUNDS = 8
-
-
+@functools.lru_cache(maxsize=8)
 def _spaces(bounds: SearchBounds) -> dict:
-    """The memo entry of a bounds value, marked as the most recently used."""
-    with _SYSTEMS_LOCK:
-        spaces = _SYSTEMS.pop(bounds, None)
-        if spaces is None:
-            spaces = {}
-        _SYSTEMS[bounds] = spaces
-        while len(_SYSTEMS) > RECENT_BOUNDS:
-            del _SYSTEMS[next(iter(_SYSTEMS))]
-    return spaces
+    """The memo entry {field: Space} of a bounds value."""
+    return {}
 
 
 def _solve_columns(

@@ -13,7 +13,9 @@ group restriction is generated (as a module over the bilinear Witt ring) by
 the two-fold Pfister forms << s, s^(2^t) b^k ]] at the same levels (t, k) as
 the form-class generators (<< s, s b_j ]] at level 0, k = e_j), and the
 bilinear kernel by the diagonal forms <1, x> for x a square in the extended
-field, detected by Frobenius support.
+field, each with its isotropic vector (y, 1), y = sqrt(phi(x)) in E.  Both
+take their roots from the embedding, so they certify over every certified
+extension whose data have the roots.
 
 ``kato_e`` and ``kato_f`` are the symbol-level maps from Pfister symbols to
 logarithmic differential forms; they are transported maps only, with no
@@ -25,13 +27,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .certificates import monomial
-from .errors import (
-    CertificateFailed,
-    FieldMismatch,
-    UnsupportedExtension,
-)
+from .errors import CertificateFailed, FieldMismatch
 from .extensions import ExtensionSpec
-from .fields import FunctionField, RatFunc, pth_root, subfield_membership
+from .fields import FunctionField, RatFunc
 from .forms import DiffForm, dlog_wedge
 from .generators import Level, Pattern, generator_levels, root_monomial
 from .records import Record
@@ -198,6 +196,8 @@ class BilForm:
     def __init__(self, field: FunctionField, dim: int, matrix: Matrix):
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError("matrix shape mismatch")
+        if any(e.field != field for row in matrix for e in row):
+            raise FieldMismatch(f"a matrix entry is not over {field}")
         for i in range(dim):
             for j in range(i + 1, dim):
                 if matrix[i][j] != matrix[j][i]:
@@ -473,7 +473,7 @@ def hyperbolicity_certificate(
     {(1,0,0,1), (0,1,1,0)}.
     """
     t, k = g.level
-    g0 = root_monomial(g.pairs, k, t + 1, ext, "hyperbolicity chains")
+    g0 = root_monomial(g.pairs, k, t + 1, ext)
     target = ext.target
     one = target.one()
     zero = target.zero()
@@ -543,30 +543,23 @@ class BilGenerator(Record):
 def bilinear_kernel_generators(
     ext: ExtensionSpec, x_list: Sequence[RatFunc]
 ) -> list[BilGenerator]:
-    """Forms <1, x> for x in F^2(distinguished)*, with verified isotropic vectors.
+    """Forms <1, x> for x whose image is a p-th power over E, with verified
+    isotropic vectors.
 
-    The membership gate is the Frobenius-support test; the vector (y, 1)
-    with y the square root of the restricted x satisfies B(v, v) = y^2 + x
+    The vector (y, 1) with y = ext.root(x, 1) satisfies B(v, v) = y^2 + x
     = 0 over E.
     """
-    if ext.adapted is None:
-        raise UnsupportedExtension("bilinear kernel generators need adapted data")
-    source = ext.source
-    names = [source.vars[i] for i in ext.adapted.indices]
+    source, target = ext.source, ext.target
     out = []
     for x in x_list:
         if x.is_zero():
             raise CertificateFailed("x must be nonzero")
-        if not subfield_membership(x, names):
-            raise CertificateFailed(
-                f"{x!r} is not in F^{source.p}({', '.join(names)})"
-            )
-        y = pth_root(ext.apply(x))
+        y = ext.root(x, 1)
         if y is None:
-            raise CertificateFailed("restricted x is unexpectedly not a p-th power")
+            raise CertificateFailed(f"{x!r} is not a {source.p}-th power over E")
         form = BilForm.diagonal(source, [source.one(), x])
-        vector = (y, ext.target.one())
-        form_e = BilForm.diagonal(ext.target, [ext.target.one(), ext.apply(x)])
+        vector = (y, target.one())
+        form_e = BilForm.diagonal(target, [target.one(), ext.apply(x)])
         if not form_e.evaluate(vector, vector).is_zero():
             raise CertificateFailed("isotropic vector failed to verify")
         out.append(BilGenerator(x=x, form=form, vector=vector))

@@ -83,7 +83,7 @@ def _document(argv):
 
 
 def _empty_memos():
-    oracle._SYSTEMS.clear()
+    oracle._spaces.cache_clear()
     cli._extension.cache_clear()
 
 

@@ -399,7 +399,7 @@ def test_classify_jobs_with_equal_bounds_build_one_system(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(oracle.System, "__init__", counted)
-    oracle._SYSTEMS.clear()
+    oracle._spaces.cache_clear()
     for form in ("x dx", "y^2 dx", "y dx + x dy"):
         code, report = _run("classify", form=form, field="F2(x,y)", deg=3, dens="1,x")
         assert report["result"]["class_witness"] == "found"
@@ -418,7 +418,7 @@ def test_oracle_reports_are_the_same_cold_and_warm():
     # a system found in the memo answers byte for byte as a fresh build
     cold = []
     for command, options in ORACLE_JOBS:
-        oracle._SYSTEMS.clear()
+        oracle._spaces.cache_clear()
         cold.append(json.dumps(_run(command, **options), sort_keys=True))
     for _ in range(2):
         warm = [json.dumps(_run(command, **options), sort_keys=True)

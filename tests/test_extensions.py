@@ -6,6 +6,7 @@ from katoforms import (
     AdaptedData,
     CertificateFailed,
     DiffForm,
+    FieldMismatch,
     FunctionField,
     InsepCert,
     NotAdapted,
@@ -199,3 +200,34 @@ def test_pth_root_descends_through_adapted(f2xy, rng):
         f = random_ratfunc(f2xy, rng, 2, 2)
         if pth_root(f) is not None:
             assert pth_root(ext.apply(f)) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("data", [((0, 2), (1, 1)), ((0, 2),)])
+def test_root_is_the_p_m_th_root_of_the_image(p, data, rng):
+    fld = FunctionField.make(p, ["x", "y"])
+    ext = build_adapted(fld, AdaptedData(data))
+    for i, m in data:
+        b = fld.var(i)
+        root = ext.root(b, m)
+        assert root == ext.target.var(i)
+        assert root ** (p**m) == ext.apply(b)
+        # any p^m-th power multiple of the datum has its root too
+        c = random_ratfunc(fld, rng, 2, 2)
+        if not c.is_zero():
+            assert ext.root(b * c ** (p**m), m) == root * ext.apply(c)
+        # no p^(m+1)-th root
+        assert ext.root(b, m + 1) is None
+    if len(data) == 1:
+        assert ext.root(fld.var(1), 1) is None
+    with pytest.raises(FieldMismatch):
+        ext.root(FunctionField.make(p, ["x", "y", "w"]).var(0), 1)
+
+
+def test_apply_refuses_elements_of_another_field(f2xy):
+    # over F3 the 2 of 2x + y is no zero; mapping it by position would drop it
+    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))
+    f3xy = FunctionField.make(3, ["x", "y"])
+    x, y = f3xy.var(0), f3xy.var(1)
+    with pytest.raises(FieldMismatch):
+        ext.apply(x + x + y)

@@ -134,21 +134,29 @@ def test_vanish_certificate_zero_instance(f2xy):
 
 
 def test_vanish_certificate_needs_matching_extension(f2xy):
-    x = f2xy.var(0)
-    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))  # m mismatch below
-    g = make_instance(
-        GeneratorSpec(((x, 2),), 1, (1, (1,))),
-        DiffForm.scalar(f2xy, f2xy.var(1)),
-    )
-    with pytest.raises(UnsupportedExtension):
-        vanish_certificate(g, ext)
-    # non-variable data is rejected as well
-    g2 = make_instance(
-        GeneratorSpec(((x * x, 1),), 1, (0, (1,))),
-        DiffForm.scalar(f2xy, f2xy.var(1)),
-    )
-    with pytest.raises(UnsupportedExtension):
-        vanish_certificate(g2, ext)
+    x, y = f2xy.var(0), f2xy.var(1)
+    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))  # x -> z^2
+    v = DiffForm.scalar(f2xy, y)
+    # data without a p^m-th root over E: x is not a fourth power, y not a square
+    for pairs, level in [(((x, 2),), (1, (1,))), (((y, 1),), (0, (1,)))]:
+        g = make_instance(GeneratorSpec(pairs, 1, level), v)
+        with pytest.raises(UnsupportedExtension):
+            vanish_certificate(g, ext)
+    # data that are not distinguished variables but have their root:
+    # x^2 = (z^2)^2 over E
+    g2 = make_instance(GeneratorSpec(((x * x, 1),), 1, (0, (1,))), v)
+    cert = vanish_certificate(g2, ext)
+    assert verify_certificate(restrict(g2.value, ext), DiffForm.zero(ext.target, 1), cert)
+
+
+def test_vanish_certificate_needs_an_adapted_extension(shifted_ext):
+    # the datum has its root z over E, but the witness's telescope needs
+    # restriction to commute with sp
+    ext, (b, m) = shifted_ext
+    v = DiffForm.scalar(ext.source, ext.source.var(1))
+    for g in kernel_generators(ext.source, ((b, m),), 1, [v]):
+        with pytest.raises(UnsupportedExtension):
+            vanish_certificate(g, ext)
 
 
 def test_all_generators_vanish_over_matching_extensions(rng):

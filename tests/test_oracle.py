@@ -270,7 +270,7 @@ def test_two_key_target_reads_only_the_steps_it_reaches(monkeypatch):
     # through the rows each step eliminates, of the rows it writes to
     import katoforms.oracle as oracle
 
-    monkeypatch.setattr(oracle, "_SYSTEMS", {})
+    oracle._spaces.cache_clear()
     f3 = FunctionField.make(3, ["x", "y"])
     x, y = f3.var(0), f3.var(1)
     bounds = SearchBounds(20, tuple(c.num for c in (f3.one(), x, y, x + y)))
@@ -425,7 +425,7 @@ def test_denominator_outside_lp_is_absent_without_a_solve(monkeypatch):
             return super().solve(rhs)
 
     monkeypatch.setattr(oracle, "Factorization", Counted)
-    monkeypatch.setattr(oracle, "_SYSTEMS", {})
+    oracle._spaces.cache_clear()
     f3 = FunctionField.make(3, ["x"])
     x = f3.var(0)
     g = FunctionField.make(3, ["x", "y"])

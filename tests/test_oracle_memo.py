@@ -2,6 +2,7 @@
 equal bounds, kept while held or recently used, and invisible in every
 answer."""
 
+import functools
 import gc
 import hashlib
 import random
@@ -30,12 +31,15 @@ DIGEST = "5594d98978c25929938b41b38f2a7826545bfba0133d37eab2396a54025f018f"
 FOUND = [True, False, True, False, True, False, True, False, True, False, True, False]
 EXACT = [False, False, True, False, False, False, True, False, False, False, True, False]
 
+# the number of bounds values the memo keeps
+RECENT = oracle._spaces.cache_info().maxsize
+
 
 @pytest.fixture(autouse=True)
 def empty_memo():
-    oracle._SYSTEMS.clear()
+    oracle._spaces.cache_clear()
     yield
-    oracle._SYSTEMS.clear()
+    oracle._spaces.cache_clear()
 
 
 def _span_form(fld, n, deg, dens, gen):
@@ -107,7 +111,7 @@ def test_one_shared_bounds_and_fresh_equal_bounds_agree():
     cases = _cases()
     shared = {key: SearchBounds(*key) for _, key in cases}
     assert _answers(cases, shared.__getitem__) == (DIGEST, FOUND, EXACT)
-    oracle._SYSTEMS.clear()
+    oracle._spaces.cache_clear()
     assert _answers(cases, lambda key: SearchBounds(*key)) == (DIGEST, FOUND, EXACT)
 
 
@@ -167,7 +171,7 @@ def test_one_factorization_per_degree_and_kind(monkeypatch):
         for target in targets:
             solve_wp_plus_d(target, bounds)
             exhaustive_exactness(target, bounds)
-    systems = oracle._SYSTEMS[bounds][fld].systems
+    systems = oracle._spaces(bounds)[fld].systems
     assert sorted(systems) == [(0, True), (1, False), (1, True), (2, False), (2, True)]
     assert len(built) == len(systems) and all(built)
     for system in systems.values():
@@ -182,27 +186,8 @@ def _other_bounds(count):
     return omega, [SearchBounds(20 + i, (f2.const_poly(1),)) for i in range(count)]
 
 
-def test_entry_goes_with_its_bounds():
-    # an entry outlives the bounds it was stored under while their value is
-    # among the RECENT_BOUNDS most recently used, and goes after that
-    omega, key = _cases()[0]
-    bounds = SearchBounds(*key)
-    assert solve_wp_plus_d(omega, bounds) is not None
-    assert bounds in oracle._SYSTEMS
-    del bounds
-    gc.collect()
-    assert SearchBounds(*key) in oracle._SYSTEMS and len(oracle._SYSTEMS) == 1
-    other, values = _other_bounds(oracle.RECENT_BOUNDS)
-    for i, bounds in enumerate(values):
-        solve_wp_plus_d(other, bounds)
-        assert (SearchBounds(*key) in oracle._SYSTEMS) == (i < oracle.RECENT_BOUNDS - 1)
-    assert len(oracle._SYSTEMS) == oracle.RECENT_BOUNDS
-
-
-def test_each_use_makes_a_value_the_most_recent(monkeypatch):
-    # eviction drops the least recently used value, not the first stored:
-    # a value used again within every RECENT_BOUNDS - 1 others is never
-    # rebuilt, however many values go by
+def _count_builds(monkeypatch):
+    """The (form degree, with_wp) of every System built from here on."""
     builds = []
     init = oracle.System.__init__
 
@@ -211,18 +196,51 @@ def test_each_use_makes_a_value_the_most_recent(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(oracle.System, "__init__", counted)
+    return builds
+
+
+def test_entry_goes_with_its_bounds(monkeypatch):
+    # an entry outlives the bounds it was stored under while their value is
+    # among the RECENT most recently used, and goes after that
+    builds = _count_builds(monkeypatch)
+    omega, key = _cases()[0]
+    other, values = _other_bounds(RECENT)
+    for kept in (RECENT - 1, RECENT):
+        oracle._spaces.cache_clear()
+        bounds = SearchBounds(*key)
+        assert solve_wp_plus_d(omega, bounds) is not None
+        del bounds
+        gc.collect()
+        assert oracle._spaces.cache_info().currsize == 1
+        for bounds in values[:kept]:
+            solve_wp_plus_d(other, bounds)
+        assert oracle._spaces.cache_info().currsize == min(kept + 1, RECENT)
+        # a second solve on an equal value builds again only once the entry went
+        built = len(builds)
+        assert solve_wp_plus_d(omega, SearchBounds(*key)) is not None
+        assert len(builds) - built == (kept == RECENT)
+    assert oracle._spaces.cache_info().currsize == RECENT
+
+
+def test_each_use_makes_a_value_the_most_recent(monkeypatch):
+    # eviction drops the least recently used value, not the first stored:
+    # a value used again within every RECENT - 1 others is never rebuilt,
+    # however many values go by
+    builds = _count_builds(monkeypatch)
     cases = _cases()
     key = cases[0][1]
     runs = 3
-    other, values = _other_bounds(runs * (oracle.RECENT_BOUNDS - 1))
+    other, values = _other_bounds(runs * (RECENT - 1))
     for run in range(runs):
         assert solve_wp_plus_d(cases[0][0], SearchBounds(*key)) is not None
         for bounds in values[run::runs]:
             solve_wp_plus_d(other, bounds)
     assert len(builds) == 1 + len(values)
-    # one more value, and the one used RECENT_BOUNDS values ago goes
+    # one more value, and the one used RECENT values ago goes: using it
+    # again builds its system again
     solve_wp_plus_d(other, SearchBounds(19, (other.field.const_poly(1),)))
-    assert SearchBounds(*key) not in oracle._SYSTEMS
+    assert solve_wp_plus_d(cases[0][0], SearchBounds(*key)) is not None
+    assert len(builds) == 3 + len(values)
 
 
 def _race(bounds_for):
@@ -255,14 +273,14 @@ def test_concurrent_callers_get_the_same_answers():
     _race(shared.__getitem__)
 
 
-@pytest.mark.parametrize("cap", [oracle.RECENT_BOUNDS, 2])
+@pytest.mark.parametrize("cap", [RECENT, 2])
 def test_concurrent_callers_with_fresh_bounds_get_the_same_answers(monkeypatch, cap):
     # every call makes its own equal bounds, so the threads also race on the
     # memo's order of use; below the three bounds values of the cases, they
     # evict each other's entries too
-    monkeypatch.setattr(oracle, "RECENT_BOUNDS", cap)
+    monkeypatch.setattr(oracle, "_spaces", functools.lru_cache(maxsize=cap)(oracle._spaces.__wrapped__))
     _race(lambda key: SearchBounds(*key))
-    assert len(oracle._SYSTEMS) == min(cap, 3)
+    assert oracle._spaces.cache_info().currsize == min(cap, 3)
 
 
 # -- packed targets -------------------------------------------------------------------
@@ -338,7 +356,7 @@ def test_warm_certificates_at_degree_20_match_cold():
 
     cold = []
     for omega in cases:
-        oracle._SYSTEMS.clear()
+        oracle._spaces.cache_clear()
         cold.append(text(omega))
     for _ in range(2):
         assert [text(omega) for omega in cases] == cold

@@ -278,6 +278,33 @@ def test_bilinear_generators(f2xy):
         bilinear_kernel_generators(ext, [y])
 
 
+def test_bilinear_generators_refuse_elements_of_another_field(f2xy):
+    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))
+    f3xy = FunctionField.make(3, ["x", "y"])
+    with pytest.raises(FieldMismatch):
+        bilinear_kernel_generators(ext, [f3xy.var(0)])
+    one = f2xy.one()
+    with pytest.raises(FieldMismatch):
+        BilForm(f2xy, 2, [[one, f2xy.zero()], [f2xy.zero(), f3xy.var(0)]])
+
+
+def test_chains_and_bilinear_generators_over_a_non_adapted_extension(shifted_ext):
+    # x -> z^(2^m) + yw: the datum x + yw is no source variable, and its
+    # root z comes from the embedding
+    ext, (b, m) = shifted_ext
+    x, y, w = (ext.source.var(i) for i in range(3))
+    one = ext.source.one()
+    gens = quad_kernel_generators(((b, m),), [y, x + y, one, x * w + one])
+    assert len(gens) == 4 * (2**m - 1)  # 44 chains over m = 1, 2, 3
+    for g in gens:
+        assert hyperbolicity_certificate(g, ext).verify()
+    bils = bilinear_kernel_generators(ext, [b, b * y * y, one])
+    root = ext.target.var(0) ** (2 ** (m - 1))
+    assert [g.vector[0] for g in bils] == [root, root * ext.target.var(1), ext.target.one()]
+    with pytest.raises(CertificateFailed):
+        bilinear_kernel_generators(ext, [y])
+
+
 def test_kato_maps(f2xy):
     x, y = f2xy.var(0), f2xy.var(1)
     assert kato_e(PfisterSymbol((x,))) == dlog(x)
