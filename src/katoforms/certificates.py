@@ -105,6 +105,13 @@ def monomial(field: FunctionField, bs: Sequence[RatFunc], ks: Sequence[int]) -> 
     return math.prod(factors[1:], start=factors[0]) if factors else field.one()
 
 
+def pattern_value(
+    bs: Sequence[RatFunc], t: int, k: Sequence[int], inst: DiffForm
+) -> DiffForm:
+    """(prod b^k) (d inst)^[p^t]; at level 0 with k = e_j this is b_j d(inst)."""
+    return sp_iter(d(inst), t).scale(monomial(inst.field, bs, k))
+
+
 def monomial_split_parts(
     bs: Sequence[RatFunc], ks: Sequence[int], v: DiffForm
 ) -> tuple[list[DiffForm], DiffForm]:
@@ -305,13 +312,10 @@ class ReductionResult(Record):
         if w is None:
             return DiffForm.zero(self.field, self.source_form.degree + 1)
         pj = self.field.p**j
-        mono = monomial(self.field, self.bs, [k % pj for k in self.ks])
-        return sp_iter(d(w), j).scale(mono)
+        return pattern_value(self.bs, j, [k % pj for k in self.ks], w)
 
     def lhs_value(self) -> DiffForm:
-        return sp_iter(d(self.source_form), self.t).scale(
-            monomial(self.field, self.bs, self.ks)
-        )
+        return pattern_value(self.bs, self.t, self.ks, self.source_form)
 
     def rhs_value(self) -> DiffForm:
         out = DiffForm.zero(self.field, self.source_form.degree + 1)

@@ -191,7 +191,7 @@ def restrict(omega: DiffForm, ext: ExtensionSpec) -> DiffForm:
     wedge product.
     """
     if omega.field != ext.source:
-        raise NotAdapted("form does not live over the source field")
+        raise FieldMismatch("form does not live over the source field")
     target = ext.target
     dimg = [d(DiffForm.scalar(target, img)) for img in ext.images]
     out = DiffForm.zero(target, omega.degree)

@@ -10,8 +10,11 @@ by the instances of one pattern at the admissible levels (t, k):
 * power levels 1 <= t <= e-1, 0 <= k(i) < p^t, max(1, p^(t - m_i + 1))
   dividing k(i): the power family;
 
-with e = max m_i.  A generator record keeps its pattern as one value, the
-level (t, k), so one formula covers both families; the family names ``kind``
+with e = max m_i.  ``admissible_level`` states this rule once: generator
+specs and the quadratic generators of ``witt`` check their levels with it,
+and ``generator_levels`` lists exactly the levels it admits.  A generator
+record keeps its pattern as one value, the level (t, k), so one formula
+(``certificates.pattern_value``) covers both families; the family names ``kind``
 with the slot ``j``, or ``t`` and ``k``, are read-only views of it.  This
 module enumerates instances over a user-supplied list of instantiating forms,
 constructs the explicit witness that every instance restricts to a
@@ -39,13 +42,14 @@ from .certificates import (
     exponent_reduction,
     monomial,
     monomial_split_parts,
+    pattern_value,
     power_certificate,
     verify_certificate,
 )
 from .errors import BadExponent, CertificateFailed, UnsupportedExtension
 from .extensions import ExtensionSpec, restrict
 from .fields import FunctionField, RatFunc, pth_root
-from .forms import DiffForm, d, dlog_wedge, nu_member, sp_iter, wedge
+from .forms import DiffForm, d, dlog_wedge, nu_member, wedge
 from .oracle import SearchBounds, solve_wp_plus_d
 from .records import Record
 
@@ -68,6 +72,28 @@ def unit_vector(r: int, j: int) -> tuple[int, ...]:
 def _with(seq: Sequence, i: int, item) -> tuple:
     """seq with its entry i replaced by item."""
     return tuple(item if l == i else x for l, x in enumerate(seq))
+
+
+def admissible_level(pairs: Sequence[tuple[RatFunc, int]], level: Level) -> Level:
+    """The level as (t, k) with k a tuple when the system admits it (the
+    rule in the module docstring), else BadExponent."""
+    t, k = level[0], tuple(level[1])
+    if len(k) != len(pairs):
+        raise BadExponent("exponent vector length mismatch")
+    if t == 0:
+        if sorted(k) != [0] * (len(k) - 1) + [1]:
+            raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
+        return t, k
+    p = pairs[0][0].field.p
+    e = max(m for _, m in pairs)
+    if not 1 <= t <= e - 1:
+        raise BadExponent(f"level t={t} outside 1..{e - 1}")
+    for ki, (_, mi) in zip(k, pairs):
+        if not 0 <= ki < p**t:
+            raise BadExponent(f"exponent {ki} outside [0, p^t)")
+        if ki % pattern_divisor(p, t, mi):
+            raise BadExponent(f"exponent {ki} violates divisibility for m={mi}, t={t}")
+    return t, k
 
 
 class Pattern:
@@ -118,25 +144,7 @@ class GeneratorSpec(Pattern, Record):
             raise ValueError("all exponents m_i must be >= 1")
         if n < 1:
             raise ValueError("generators exist in degree >= 1 only")
-        t, k = level[0], tuple(level[1])
-        if len(k) != len(pairs):
-            raise BadExponent("exponent vector length mismatch")
-        if t == 0:
-            if sorted(k) != [0] * (len(k) - 1) + [1]:
-                raise BadExponent(f"level 0 needs a unit exponent vector, got {k}")
-        else:
-            p = pairs[0][0].field.p
-            e = max(m for _, m in pairs)
-            if not 1 <= t <= e - 1:
-                raise BadExponent(f"level t={t} outside 1..{e - 1}")
-            for ki, (_, mi) in zip(k, pairs):
-                if not 0 <= ki < p**t:
-                    raise BadExponent(f"exponent {ki} outside [0, p^t)")
-                if ki % pattern_divisor(p, t, mi):
-                    raise BadExponent(
-                        f"exponent {ki} violates divisibility for m={mi}, t={t}"
-                    )
-        super().__init__(pairs, n, (t, k))
+        super().__init__(pairs, n, admissible_level(pairs, level))
 
     @property
     def field(self) -> FunctionField:
@@ -152,13 +160,6 @@ class GeneratorInstance(Record):
     def trivial(self) -> bool:
         """An all-zero exponent vector: the pattern is a plain power of d(v)."""
         return not any(self.spec.level[1])
-
-
-def pattern_value(
-    bs: Sequence[RatFunc], t: int, k: Sequence[int], inst: DiffForm
-) -> DiffForm:
-    """(prod b^k) (d inst)^[p^t]; at level 0 with k = e_j this is b_j d(inst)."""
-    return sp_iter(d(inst), t).scale(monomial(inst.field, bs, k))
 
 
 def make_instance(spec: GeneratorSpec, inst: DiffForm) -> GeneratorInstance:
@@ -338,16 +339,16 @@ def log_vanish_certificate(
     """Verified witness that a logarithmic generator restricts trivially.
 
     Tries the generic Cartier-iteration witness first, then the bounded
-    oracle if bounds are supplied.
+    oracle if bounds are supplied.  Both return only certificates that
+    verified against value_e and zero, so none is checked again here.
     """
     value_e = restrict(g.value, ext)
-    zero = DiffForm.zero(ext.target, g.value.degree)
     if value_e.is_zero():
         return Certificate.trivial(ext.target, g.value.degree)
     cert = congruence_witness(value_e)
     if cert is None and oracle_bounds is not None:
         cert = solve_wp_plus_d(value_e, oracle_bounds)
-    if cert is None or not verify_certificate(value_e, zero, cert):
+    if cert is None:
         raise CertificateFailed("no vanishing witness found for log generator")
     return cert
 
@@ -359,29 +360,23 @@ def _linear_instances(
     pairs: tuple[tuple[RatFunc, int], ...], n: int, parts
 ) -> list[GeneratorInstance]:
     """Level-0 instances b_i d(w) for the parts (i, w) with a nonzero value."""
-    bs = [b for b, _ in pairs]
     out = []
     for i, w in parts:
-        level = (0, unit_vector(len(pairs), i))
-        value = pattern_value(bs, *level, w)
-        if not value.is_zero():
-            out.append(GeneratorInstance(GeneratorSpec(pairs, n, level), w, value))
+        g = make_instance(GeneratorSpec(pairs, n, (0, unit_vector(len(pairs), i))), w)
+        if not g.value.is_zero():
+            out.append(g)
     return out
 
 
 def _reduction_instances(
     pairs: tuple[tuple[RatFunc, int], ...], n: int, red: ReductionResult
 ) -> list[GeneratorInstance]:
-    field = pairs[0][0].field
-    out = []
-    for jlev in sorted(red.levels):
-        w = red.levels[jlev]
-        if w.is_zero():
-            continue
-        pj = field.p**jlev
-        k = tuple(ki % pj for ki in red.ks)
-        spec = GeneratorSpec(pairs, n, (jlev, k))
-        out.append(GeneratorInstance(spec, w, red.level_value(jlev)))
+    p = pairs[0][0].field.p
+    out = [
+        make_instance(GeneratorSpec(pairs, n, (j, tuple(ki % p**j for ki in red.ks))), w)
+        for j, w in sorted(red.levels.items())
+        if not w.is_zero()
+    ]
     return out + _linear_instances(pairs, n, red.linear_parts)
 
 
@@ -475,10 +470,9 @@ def pattern_lowering_certificate(
     p = spec.field.p
     if any(ki % p for ki in k):
         raise BadExponent("lowering needs all exponents divisible by p")
-    new_k = tuple(ki // p for ki in k)
-    lower_value = pattern_value([b for b, _ in spec.pairs], t - 1, new_k, g.inst)
-    raised, cert = power_certificate(lower_value, 1)
+    lower_level = (t - 1, tuple(ki // p for ki in k))
+    lower = make_instance(GeneratorSpec(spec.pairs, spec.n, lower_level), g.inst)
+    raised, cert = power_certificate(lower.value, 1)
     if raised != g.value:
         raise CertificateFailed("lowered pattern does not raise back to the input")
-    lower = GeneratorSpec(spec.pairs, spec.n, (t - 1, new_k))
-    return GeneratorInstance(lower, g.inst, lower_value), cert
+    return lower, cert

@@ -138,11 +138,36 @@ def ext_x2_file(tmp_path, f2xy):
     ids=["linear", "power"],
 )
 def test_check_hyperbolic_builds_one_generator(monkeypatch, ext_x2_file, level, digest):
-    # x:2 has three levels; only the requested one gets its Pfister form
-    calls = _count_calls(monkeypatch, witt, "pfister_quad")
+    # x:2 has three levels; only the requested one gets its generator
+    calls = _count_calls(monkeypatch, witt, "quad_kernel_generator")
     code, report = _run("check-hyperbolic", ext=ext_x2_file, s="y", **level)
     assert code == 0 and len(calls) == 1
     assert _digest(report["result"]) == digest
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("kernel-test", {"form": "dx^dy", "field": "F2(x,y)"}),
+        ("witt-gens", {"field": "F2(x,y)", "s": "y"}),
+        ("restrict", {"form": "dx", "ext": None}),
+    ],
+    ids=["kernel-test", "witt-gens", "restrict"],
+)
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ("q:2", "KatoformsError: --data 'q:2': 'q' is not a variable of F2(x,y)"),
+        ("x", "KatoformsError: --data 'x' needs :m, an integer exponent"),
+        ("x:2, y:two", "KatoformsError: --data 'y:two' needs :m, an integer exponent"),
+    ],
+    ids=["unknown-variable", "missing-exponent", "bad-exponent"],
+)
+def test_data_errors_name_their_fault(ext_file, command, options, data, error):
+    if "ext" in options:
+        options = {**options, "ext": ext_file}
+    code, report = _run(command, data=data, **options)
+    assert (code, report["error"]) == (3, error)
 
 
 def test_check_hyperbolic_input_errors(tmp_path, ext_x2_file, f3xy):
@@ -150,7 +175,7 @@ def test_check_hyperbolic_input_errors(tmp_path, ext_x2_file, f3xy):
     ext3.write_text(extension_to_json(build_adapted(f3xy, AdaptedData(((0, 1),)))))
     for ext, options, error in (
         (ext_x2_file, {"t": 0, "k": "2"},
-         "KatoformsError: no generator matches the requested pattern"),
+         "BadExponent: level 0 needs a unit exponent vector, got (2,)"),
         (ext_x2_file, {"t": 1},
          "KatoformsError: --t needs --k, the comma-separated exponent vector"),
         (str(ext3), {"j": 0},
@@ -337,7 +362,9 @@ def test_check_hyperbolic_selects_by_level(ext_file):
     assert code == 0
     assert by_level["result"] == by_slot["result"]
     code, report = _run("check-hyperbolic", ext=ext_file, s="y", t=0, k="1,1")
-    assert code == 3 and "no generator matches" in report["error"]
+    assert (code, report["error"]) == (
+        3, "BadExponent: level 0 needs a unit exponent vector, got (1, 1)"
+    )
 
 
 def test_arf_command():

@@ -231,3 +231,12 @@ def test_apply_refuses_elements_of_another_field(f2xy):
     x, y = f3xy.var(0), f3xy.var(1)
     with pytest.raises(FieldMismatch):
         ext.apply(x + x + y)
+
+
+def test_restrict_refuses_forms_of_another_field(f2xy):
+    # the fault apply reports for an element, for a form and the zero form too
+    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))
+    f3xy = FunctionField.make(3, ["x", "y"])
+    for omega in (dlog(f3xy.var(0) + f3xy.var(1)), DiffForm.zero(f3xy, 1)):
+        with pytest.raises(FieldMismatch):
+            restrict(omega, ext)

@@ -1,6 +1,7 @@
 """Kernel generator systems: enumeration, vanishing witnesses, rebasing."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from katoforms import generators
 from katoforms.generators import (
     KIND_LINEAR,
     KIND_POWER,
+    admissible_level,
     generator_levels,
     pattern_divisor,
     unit_vector,
@@ -76,6 +78,27 @@ def test_divisor_formula():
     assert pattern_divisor(2, 1, 1) == 2
     assert pattern_divisor(2, 3, 2) == 4
     assert pattern_divisor(3, 2, 5) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_rule_admits_exactly_the_enumerated_levels(p):
+    fld = FunctionField.make(p, ["x", "y"])
+    for r in (1, 2):
+        for ms in itertools.product(range(1, 4), repeat=r):
+            pairs = tuple(zip((fld.var(0), fld.var(1)), ms))
+            listed = generator_levels(pairs, p)
+            assert len(set(listed)) == len(listed)
+            assert all(admissible_level(pairs, level) == level for level in listed)
+            # every level in a box around the system's range, -1 included
+            e = max(ms)
+            ks = itertools.product(range(-1, p ** (e - 1) + 1), repeat=r)
+            admitted = set()
+            for level in itertools.product(range(-1, e + 1), ks):
+                try:
+                    admitted.add(admissible_level(pairs, level))
+                except BadExponent:
+                    pass
+            assert admitted == set(listed)
 
 
 def test_kernel_generators_spec_example(f2xy):

@@ -7,11 +7,13 @@ import pytest
 
 from katoforms import (
     AdaptedData,
+    BadExponent,
     BilForm,
     CertificateFailed,
     DiffForm,
     FieldMismatch,
     FunctionField,
+    GeneratorSpec,
     IsometryCert,
     LagrangianCert,
     PfisterSymbol,
@@ -30,6 +32,7 @@ from katoforms import (
     nu_member,
     pfister_bil,
     pfister_quad,
+    quad_kernel_generator,
     quad_kernel_generators,
     extension_to_json,
     restrict_quad,
@@ -230,6 +233,22 @@ def test_quad_generator_enumeration(f2xy):
     assert len(gens2) == 2
 
 
+def test_quad_kernel_generator_refuses_levels_outside_the_system(f2xy, f3xy):
+    # the level rule of GeneratorSpec, with its messages; (0, (2,)) was once
+    # built, and the generator's j then raised a bare ValueError
+    x, y = f2xy.var(0), f2xy.var(1)
+    pairs = ((x, 1),)
+    for level in [(0, (2,)), (1, (1,)), (3, (5,))]:
+        with pytest.raises(BadExponent) as refused:
+            quad_kernel_generator(pairs, y, level)
+        with pytest.raises(BadExponent) as by_spec:
+            GeneratorSpec(pairs, 1, level)
+        assert str(refused.value) == str(by_spec.value)
+    # the characteristic is checked before the level
+    with pytest.raises(ValueError, match="characteristic 2"):
+        quad_kernel_generator(((f3xy.var(0), 1),), f3xy.var(1), (3, (5,)))
+
+
 def test_hyperbolicity_chains(f2xy):
     x, y = f2xy.var(0), f2xy.var(1)
     for m in (1, 2):
@@ -286,6 +305,20 @@ def test_bilinear_generators_refuse_elements_of_another_field(f2xy):
     one = f2xy.one()
     with pytest.raises(FieldMismatch):
         BilForm(f2xy, 2, [[one, f2xy.zero()], [f2xy.zero(), f3xy.var(0)]])
+
+
+def test_gram_forms_share_their_checks(f2xy):
+    x, one, zero = f2xy.var(0), f2xy.one(), f2xy.zero()
+    for kind in (QuadForm, BilForm):
+        with pytest.raises(ValueError, match="shape"):
+            kind(f2xy, 2, [[one, zero]])
+    with pytest.raises(ValueError, match="symmetric"):
+        BilForm(f2xy, 2, [[one, x], [zero, one]])
+    # one matrix, two kinds of form: never equal
+    diag = [[one, zero], [zero, x]]
+    assert BilForm(f2xy, 2, diag) == BilForm.diagonal(f2xy, [one, x])
+    assert QuadForm(f2xy, 2, diag) != BilForm(f2xy, 2, diag)
+    assert repr(BilForm(f2xy, 2, diag)) == "BilForm(dim=2)"
 
 
 def test_chains_and_bilinear_generators_over_a_non_adapted_extension(shifted_ext):
