@@ -40,7 +40,6 @@ from .forms import (
     cartier_raw,
     d,
     integrate,
-    is_exact,
     sp,
     sp_iter,
     wp,
@@ -117,19 +116,17 @@ def monomial_split_parts(
 ) -> tuple[list[DiffForm], DiffForm]:
     """Slot forms w_j and eta with prod b^k dv = sum_j b_j d(w_j) + d(eta).
 
-    w_j = k_j b^(k - e_j) v and eta = (1 - sum k_j) b^k v; the identity is
-    checked by expanding both sides and is exact, no wp part involved.
+    w_j = k_j b^(k - e_j) v, zero when p divides k_j (a zero exponent
+    included), and eta = (1 - sum k_j) b^k v; the identity is checked by
+    expanding both sides and is exact, no wp part involved.
     """
     field = v.field
     p = field.p
-    parts = []
-    for j, kj in enumerate(ks):
-        w = field.const(kj % p)
-        for l, (bl, kl) in enumerate(zip(bs, ks)):
-            e = kl - 1 if l == j else kl
-            if e and not w.is_zero():
-                w = w * bl**e
-        parts.append(v.scale(w))
+    parts = [
+        v.scale(monomial(field, bs, [k - (l == j) for l, k in enumerate(ks)]).scale(kj))
+        if kj % p else DiffForm.zero(field, v.degree)
+        for j, kj in enumerate(ks)
+    ]
     total = sum(ks) % p
     eta = v.scale(monomial(field, bs, ks).scale((1 - total) % p))
     return parts, eta
@@ -198,12 +195,8 @@ def _absorb_monomial_exact(
     acc: _Accumulator, bs: Sequence[RatFunc], ks: Sequence[int], g: DiffForm
 ) -> None:
     """Register (prod b^ks) d(g) into linear slots plus an exact remainder."""
-    pos = [j for j, k in enumerate(ks) if k]
-    if not pos:
-        acc.add_eta(g)
-        return
-    parts, eta = monomial_split_parts([bs[j] for j in pos], [ks[j] for j in pos], g)
-    for j, w in zip(pos, parts):
+    parts, eta = monomial_split_parts(bs, ks, g)
+    for j, w in enumerate(parts):
         acc.add_linear(j, w)
     acc.add_eta(eta)
 
@@ -372,8 +365,7 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
     cycles through forms that are not exact and the search stops there.
     """
     field = omega.field
-    n = omega.degree
-    zero_n = DiffForm.zero(field, n)
+    zero_n = DiffForm.zero(field, omega.degree)
     u_total = zero_n
     cur = omega
     seen: set[DiffForm] = set()
@@ -383,22 +375,20 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
         seen.add(cur)
         d_cur = d(cur)
         if not d_cur.is_zero():
-            if not is_exact(d_cur):
-                return None
+            # d(cur) is exact, and with d(u0) = -d(cur) the new cur is closed
+            # because d o sp = 0
             u0 = -integrate(d_cur)
             u_total = u_total + u0
             cur = cur - wp(u0)
-            if not d(cur).is_zero():
-                return None
-        if is_exact(cur):
-            eta = DiffForm.zero(field, n - 1) if cur.is_zero() else integrate(cur)
-            cert = Certificate(u=u_total, eta=eta, field=field)
+        # cur is closed, so it is exact exactly when C(cur) = 0 (C o d = 0
+        # and d o sp = 0 are checked by test_core_identities_random in
+        # tests/test_forms.py)
+        c = cartier_raw(cur)
+        if c.is_zero():
+            cert = Certificate(u=u_total, eta=integrate(cur), field=field)
             if not verify_certificate(omega, zero_n, cert):
                 return None
             return cert
-        c = cartier_raw(cur)
-        if c.is_zero():
-            return None
         u_total = u_total + c
         cur = cur - wp(c)
     return None

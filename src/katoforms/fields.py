@@ -716,13 +716,13 @@ def frobenius_decompose(f: RatFunc) -> dict[tuple[int, ...], RatFunc]:
 
 
 def frobenius_compose(field: FunctionField, parts: Mapping[tuple[int, ...], RatFunc]) -> RatFunc:
-    """Inverse of frobenius_decompose: sum_j g_j^p x^j."""
-    out = field.zero()
-    for j, g in parts.items():
-        out = out + g.frobenius_power() * RatFunc(
-            field, field.monomial(j), field.const_poly(1)
-        )
-    return out
+    """Inverse of frobenius_decompose: sum_j g_j^p x^j, started from the
+    first term, not from zero."""
+    terms = [
+        g.frobenius_power() * RatFunc(field, field.monomial(j), field.const_poly(1))
+        for j, g in parts.items()
+    ]
+    return sum(terms[1:], terms[0]) if terms else field.zero()
 
 
 def pth_root(f: RatFunc) -> Optional[RatFunc]:

@@ -35,6 +35,7 @@ from .fields import (
     FunctionField,
     MultiPoly,
     RatFunc,
+    frobenius_compose,
     frobenius_decompose,
     partial,
     random_ratfunc,
@@ -242,11 +243,8 @@ def to_log(omega: DiffForm) -> dict:
 
 
 def from_log(field: FunctionField, degree: int, log_coeffs: dict) -> DiffForm:
-    out = {}
-    for idx, c in log_coeffs.items():
-        if c.is_zero():
-            continue
-        out[idx] = c / _index_monomial(field, idx)
+    """The form with these nonzero coefficients in the dlog basis."""
+    out = {idx: c / _index_monomial(field, idx) for idx, c in log_coeffs.items()}
     return DiffForm(field, degree, out)
 
 
@@ -269,6 +267,14 @@ def wp(omega: DiffForm) -> DiffForm:
     return sp(omega) - omega
 
 
+def _log_grades(omega: DiffForm):
+    """(idx, j, g) for each grade j of each logarithmic coefficient, which
+    is the sum of g^p x^j over its grades j."""
+    for idx, c in to_log(omega).items():
+        for j, g in frobenius_decompose(c).items():
+            yield idx, j, g
+
+
 def cartier_raw(omega: DiffForm) -> DiffForm:
     """Grade-0 Frobenius component of logarithmic coefficients.
 
@@ -276,14 +282,9 @@ def cartier_raw(omega: DiffForm) -> DiffForm:
     but is only the cohomological inverse on closed forms (use ``cartier``
     for the checked variant).
     """
-    field = omega.field
-    zero_j = (0,) * field.nvars
-    out = {}
-    for idx, c in to_log(omega).items():
-        g0 = frobenius_decompose(c).get(zero_j)
-        if g0 is not None:
-            out[idx] = g0
-    return from_log(field, omega.degree, out)
+    zero_j = (0,) * omega.field.nvars
+    out = {idx: g for idx, j, g in _log_grades(omega) if j == zero_j}
+    return from_log(omega.field, omega.degree, out)
 
 
 def cartier(omega: DiffForm) -> DiffForm:
@@ -335,12 +336,8 @@ def grade_decompose(omega: DiffForm) -> dict[tuple[int, ...], DiffForm]:
     """
     field = omega.field
     pieces: dict[tuple[int, ...], dict] = {}
-    for idx, c in to_log(omega).items():
-        for j, g in frobenius_decompose(c).items():
-            part = g.frobenius_power() * RatFunc(
-                field, field.monomial(j), field.const_poly(1)
-            )
-            pieces.setdefault(j, {})[idx] = part
+    for idx, j, g in _log_grades(omega):
+        pieces.setdefault(j, {})[idx] = frobenius_compose(field, {j: g})
     return {
         j: from_log(field, omega.degree, coeffs) for j, coeffs in pieces.items()
     }
@@ -364,19 +361,17 @@ def integrate(omega: DiffForm) -> DiffForm:
     p = field.p
     zero_j = (0,) * field.nvars
     eta_log: dict = {}
-    # the grade-j part of the log coefficient at idx is g^p x^j
-    for idx, c in to_log(omega).items():
-        for j, g in frobenius_decompose(c).items():
-            if j == zero_j:
-                raise NotExact("closed form with nonzero Cartier image")
-            i0 = next(i for i, e in enumerate(j) if e)
-            if i0 not in idx:
-                continue
-            inv = field.inv(j[i0])
-            r = idx.index(i0)
-            part = g.frobenius_power() * RatFunc(field, field.monomial(j), field.const_poly(1))
-            rest = idx[:r] + idx[r + 1 :]
-            accumulate(eta_log, rest, part.scale(inv if r % 2 == 0 else (-inv) % p))
+    for idx, j, g in _log_grades(omega):
+        if j == zero_j:
+            raise NotExact("closed form with nonzero Cartier image")
+        i0 = next(i for i, e in enumerate(j) if e)
+        if i0 not in idx:
+            continue
+        inv = field.inv(j[i0])
+        r = idx.index(i0)
+        part = frobenius_compose(field, {j: g})
+        rest = idx[:r] + idx[r + 1 :]
+        accumulate(eta_log, rest, part.scale(inv if r % 2 == 0 else (-inv) % p))
     return from_log(field, n - 1, eta_log)
 
 

@@ -340,7 +340,8 @@ def log_vanish_certificate(
 
     Tries the generic Cartier-iteration witness first, then the bounded
     oracle if bounds are supplied.  Both return only certificates that
-    verified against value_e and zero, so none is checked again here.
+    verified against value_e and zero, so none is checked again here.  A
+    failure names the bounds searched, or says that none were given.
     """
     value_e = restrict(g.value, ext)
     if value_e.is_zero():
@@ -349,7 +350,12 @@ def log_vanish_certificate(
     if cert is None and oracle_bounds is not None:
         cert = solve_wp_plus_d(value_e, oracle_bounds)
     if cert is None:
-        raise CertificateFailed("no vanishing witness found for log generator")
+        searched = "no oracle bounds were given"
+        if oracle_bounds is not None:
+            dens = ", ".join(map(repr, oracle_bounds.denominators)) or "1"
+            searched = (f"oracle searched numerator degree <= {oracle_bounds.max_degree}, "
+                        f"denominators {dens}")
+        raise CertificateFailed(f"no vanishing witness found for log generator ({searched})")
     return cert
 
 
@@ -443,14 +449,11 @@ def rebase_generator(
         if t == 0:
             # a plain monomial times an exact form splits into linear parts
             # (b_i d(z) = c^p d(z) = d(c^p z) leaves no part at all)
-            pos = [l for l, ki in enumerate(k_new) if ki]
-            parts, eta = monomial_split_parts(
-                [bs_new[l] for l in pos], [k_new[l] for l in pos], g.inst
-            )
+            parts, eta = monomial_split_parts(bs_new, k_new, g.inst)
             total_cert = total_cert + Certificate(
                 u=DiffForm.zero(field, n), eta=eta, field=field
             )
-            return _linear_instances(new_pairs, n, zip(pos, parts)), total_cert
+            return _linear_instances(new_pairs, n, enumerate(parts)), total_cert
         red = exponent_reduction(bs_new, k_new, t, g.inst)
         total_cert = total_cert + red.certificate
         return _reduction_instances(new_pairs, n, red), total_cert

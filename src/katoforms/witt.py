@@ -111,6 +111,11 @@ def _rank(rows: Sequence[Sequence[RatFunc]]) -> int:
     return rank
 
 
+def _nonsingular(polar: Matrix) -> bool:
+    """An alternating matrix is nonsingular when it has even size and full rank."""
+    return len(polar) % 2 == 0 and _rank(polar) == len(polar)
+
+
 # -- forms -------------------------------------------------------------------
 
 
@@ -181,9 +186,7 @@ class QuadForm(GramForm):
         return _pairing(self.polar_matrix(), u, v, self.field)
 
     def is_nonsingular(self) -> bool:
-        if self.dim % 2:
-            return False
-        return _rank(self.polar_matrix()) == self.dim
+        return _nonsingular(self.polar_matrix())
 
     def perp(self, other: "QuadForm") -> "QuadForm":
         if self.field != other.field:
@@ -289,7 +292,8 @@ def arf(q: QuadForm) -> RatFunc:
     field = q.field
     if field.p != 2:
         raise ValueError("Arf invariant lives in characteristic 2")
-    if q.dim % 2 or not q.is_nonsingular():
+    polar = q.polar_matrix()
+    if not _nonsingular(polar):
         raise Singular("Arf invariant needs a nonsingular even-dimensional form")
     basis = [
         [field.one() if i == j else field.zero() for j in range(q.dim)]
@@ -299,23 +303,21 @@ def arf(q: QuadForm) -> RatFunc:
     while basis:
         v = basis[0]
         w_idx = next(
-            (i for i in range(1, len(basis)) if not q.polar(v, basis[i]).is_zero()),
+            (i for i in range(1, len(basis))
+             if not _pairing(polar, v, basis[i], field).is_zero()),
             None,
         )
         if w_idx is None:
             raise Singular("polar form degenerate on the remaining space")
-        scale = q.polar(v, basis[w_idx]).inv()
+        scale = _pairing(polar, v, basis[w_idx], field).inv()
         w = [scale * c for c in basis[w_idx]]
         total = total + q.evaluate(v) * q.evaluate(w)
         rest = []
         for i, z in enumerate(basis):
             if i == 0 or i == w_idx:
                 continue
-            z1 = [
-                zc + q.polar(z, w) * vc + q.polar(z, v) * wc
-                for zc, vc, wc in zip(z, v, w)
-            ]
-            rest.append(z1)
+            zw, zv = _pairing(polar, z, w, field), _pairing(polar, z, v, field)
+            rest.append([zc + zw * vc + zv * wc for zc, vc, wc in zip(z, v, w)])
         basis = rest
     return total
 

@@ -1,5 +1,8 @@
 """Congruence certificates: verification and the constructive rewritings."""
 
+import hashlib
+import random
+
 import pytest
 
 from katoforms import (
@@ -219,7 +222,7 @@ def test_witnesses_with_rational_coefficients(rng):
     # it up — between them every constructed member must be witnessed
     from katoforms import SearchBounds, integrate, solve_wp_plus_d
 
-    for p in (2, 3):
+    for p in (2, 3, 5):
         fld = FunctionField.make(p, ["x", "y"])
         x, y = fld.var(0), fld.var(1)
         dens = [fld.const_poly(1), x.num, (x + y).num, (x * y).num]
@@ -235,3 +238,58 @@ def test_witnesses_with_rational_coefficients(rng):
             eta = random_form_rng(fld, 1, 2, 2, rng, den_pool=dens)
             form = d(eta)
             assert d(integrate(form)) == form
+
+
+PINNED_CALCULUS_DIGEST = "75b8875cd7c0ac55d9fc00873a5b0f3b912164d8f8373745a4b05b3c2c3860d0"
+
+
+def _pinned_calculus_lines():
+    """Printed outputs of the calculus on a seeded family over F_p(x, y),
+    p = 2, 3, 5: witnesses (None included), antiderivatives, Cartier images,
+    Frobenius grades, exponent reductions and monomial splits."""
+    from katoforms import cartier_raw, grade_decompose, integrate
+    from katoforms.sexpr import print_certificate, print_form
+
+    lines = []
+    for p in (2, 3, 5):
+        rng = random.Random(2500 + p)
+        fld = FunctionField.make(p, ["x", "y"])
+        x, y = fld.var(0), fld.var(1)
+        dens = [fld.const_poly(1), x.num, (x + y).num]
+        for n in (1, 2):
+            for _ in range(2):
+                u = random_form_rng(fld, n, 2, 2, rng, den_pool=dens)
+                eta = random_form_rng(fld, n - 1, 2, 2, rng, den_pool=dens)
+                other = random_form_rng(fld, n, 2, 2, rng, den_pool=dens)
+                for form in (wp(u) + d(eta), other):
+                    cert = congruence_witness(form)
+                    lines.append("none" if cert is None else print_certificate(cert))
+                    lines.append(print_form(cartier_raw(form)))
+                    for j, piece in sorted(grade_decompose(form).items()):
+                        lines.append(f"{j} {print_form(piece)}")
+                lines.append(print_form(integrate(d(u))))
+        pool = [x, y, x + y, x * y]
+        for _ in range(4):
+            r = rng.randint(1, 2)
+            bs = [rng.choice(pool) for _ in range(r)]
+            t = rng.randint(1, 2)
+            ks = [rng.randint(0, p**t + p) for _ in range(r)]
+            v = random_form_rng(fld, rng.randint(0, 1), 2, 2, rng)
+            red = exponent_reduction(bs, ks, t, v)
+            lines.extend(f"level {j} {print_form(w)}" for j, w in sorted(red.levels.items()))
+            lines.extend(f"linear {i} {print_form(w)}" for i, w in red.linear_parts)
+            lines.append(print_certificate(red.certificate))
+            rhs, cert = monomial_split_certificate(bs, [k + 1 for k in ks], v)
+            lines.append(print_form(rhs))
+            lines.append(print_certificate(cert))
+    return lines
+
+
+def test_pinned_calculus_outputs():
+    # the calculus is a function of its inputs alone: any change to a
+    # witness, an antiderivative, a Cartier image, a grade or a reduction
+    # shows up here
+    h = hashlib.sha256()
+    for line in _pinned_calculus_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == PINNED_CALCULUS_DIGEST

@@ -13,6 +13,7 @@ from katoforms import (
     DiffForm,
     FunctionField,
     GeneratorSpec,
+    SearchBounds,
     UnsupportedExtension,
     build_adapted,
     d,
@@ -214,6 +215,24 @@ def test_log_generators_shapes_and_vanishing(f2xy):
     assert pw.value == expected
     assert pw.check_shape()
     log_vanish_certificate(pw, ext)
+
+
+def test_failed_vanishing_search_names_its_bounds(f2xy):
+    # over F2(sqrt x, y) the level-(1, (1,)) generator x y dy of the datum
+    # (x, 2) restricts to u^2 y dy = sp(u dy), which is congruent to u dy
+    # and not trivial, so no search finds a witness
+    x, y = f2xy.var(0), f2xy.var(1)
+    ext = build_adapted(f2xy, AdaptedData(((0, 1),)))
+    gens = log_kernel_generators(f2xy, ((x, 2),), 1, [y], [[]])
+    g = next(g for g in gens if g.level == (1, (1,)))
+    with pytest.raises(CertificateFailed, match=r"\(no oracle bounds were given\)"):
+        log_vanish_certificate(g, ext)
+    bounds = SearchBounds(3, (ext.target.const_poly(1), ext.target.var_poly(0)))
+    with pytest.raises(
+        CertificateFailed,
+        match=r"\(oracle searched numerator degree <= 3, denominators 1, u\)",
+    ):
+        log_vanish_certificate(g, ext, bounds)
 
 
 def test_log_generators_check_each_tail_once(f2xy, monkeypatch):

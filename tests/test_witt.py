@@ -14,6 +14,7 @@ from katoforms import (
     FieldMismatch,
     FunctionField,
     GeneratorSpec,
+    HyperbolicityChain,
     IsometryCert,
     LagrangianCert,
     PfisterSymbol,
@@ -172,6 +173,31 @@ def test_arf_with_nonunit_polar_values(f2xy):
         assert arf(pfister_quad(sym)).is_zero()
 
 
+def test_arf_builds_the_polar_matrix_once(f2xyz, monkeypatch):
+    # one polar matrix serves every pairing of the reduction, whatever the
+    # dimension
+    x, y, z = (f2xyz.var(i) for i in range(3))
+    one = f2xyz.one()
+    calls = []
+    real = QuadForm.polar_matrix
+    monkeypatch.setattr(QuadForm, "polar_matrix", lambda q: calls.append(q) or real(q))
+    forms = [
+        (pfister_quad(PfisterSymbol((y,), x)), f2xyz.zero()),
+        (pfister_quad(PfisterSymbol((y, z), x)), f2xyz.zero()),
+        (QuadForm.binary(f2xyz, x, y).perp(QuadForm.binary(f2xyz, one, z).scale(x + y)),
+         x * y + z),
+        # x + yz + (x + z) + yz: c[a, b] has Arf invariant ab
+        (QuadForm.binary(f2xyz, one, x)
+         .perp(QuadForm.binary(f2xyz, y, z).scale(x))
+         .perp(QuadForm.binary(f2xyz, x + z, one).scale(y))
+         .perp(QuadForm.binary(f2xyz, one, y * z)), z),
+    ]
+    for q, value in forms:
+        calls.clear()
+        assert arf(q) == value
+        assert len(calls) == 1
+
+
 def test_isometry_examples(f2xy):
     x, y = f2xy.var(0), f2xy.var(1)
     one, zero = f2xy.one(), f2xy.zero()
@@ -269,6 +295,41 @@ def test_hyperbolicity_chain_two_slots(f2xy):
     ext = build_adapted(f2xy, AdaptedData(((0, 2), (1, 1))))
     for g in quad_kernel_generators(((x, 2), (y, 1)), [f2xy.one(), x + y]):
         assert hyperbolicity_certificate(g, ext).verify()
+
+
+def test_hyperbolicity_chain_rejects_each_change(f2xy):
+    # verify is a chain's only check: changing any one part of a verified
+    # chain must make it fail
+    x, y = f2xy.var(0), f2xy.var(1)
+    ext = build_adapted(f2xy, AdaptedData(((0, 2),)))
+    g = quad_kernel_generator(((x, 2),), y, (1, (1,)))
+    chain = hyperbolicity_certificate(g, ext)
+    assert chain.verify()
+    target = ext.target
+    one, zero = target.one(), target.zero()
+    (lhs1, rhs1, t1), (lhs2, rhs2, t2) = chain.steps
+    hh = QuadForm.hyperbolic_plane(target)
+    identity = IsometryCert(tuple(
+        tuple(one if i == j else zero for j in range(4)) for i in range(4)
+    ))
+    changes = {
+        "a step's matrix": dict(steps=((lhs1, rhs1, t1), (lhs2, rhs2, identity))),
+        "restricted": dict(restricted=chain.restricted.scale(target.var(0))),
+        "a link": dict(steps=((lhs1, rhs1, t1), (lhs2, lhs2, t2))),
+        # a sum of hyperbolic planes carries the chain's Lagrangian too
+        "final_form": dict(final_form=hh.perp(hh)),
+        "the Lagrangian": dict(lagrangian=LagrangianCert(
+            ((one, zero, zero, zero), (zero, one, zero, zero))
+        )),
+    }
+    for what, change in changes.items():
+        fields = dict(
+            restricted=chain.restricted, steps=chain.steps,
+            final_form=chain.final_form, lagrangian=chain.lagrangian,
+        )
+        fields.update(change)
+        assert not HyperbolicityChain(**fields).verify(), what
+    assert lagrangian_check(hh.perp(hh), chain.lagrangian)
 
 
 def test_hyperbolicity_needs_matching_extension(f2xy):
