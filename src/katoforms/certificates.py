@@ -23,8 +23,8 @@ construction:
   The right-hand side is single-level whenever no byproducts arise.
 * ``congruence_witness`` — generic witness search for forms expected to be
   congruent to zero, via a Neumann-type sum of Cartier iterates; results
-  are verified before being returned and None means "not found", never
-  "refuted".
+  are verified before being returned (one that fails raises
+  ``CertificateFailed``) and None means "not found", never "refuted".
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import BadExponent, DegreeMismatch
+from .errors import BadExponent, CertificateFailed, DegreeMismatch
 from .fields import FunctionField, RatFunc
 from .forms import (
     DiffForm,
+    _integrate_closed,
     accumulate,
     cartier_raw,
     d,
@@ -360,7 +361,10 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
     replaces the unknown residual witness U by C(U), which shrinks under
     iteration until it stabilizes on a log-fixed form and the remainder
     integrates.  Sound but not complete: the certificate is verified before
-    being returned, and None only means "not found", never "refuted".  Each
+    being returned, a certificate that fails that check is a fault of the
+    program and raises ``CertificateFailed``, and None only means "not
+    found", never "refuted".  The running form is closed where it is
+    integrated, so the closedness check of ``integrate`` is skipped.  Each
     step depends on the running form alone, so once a form repeats the loop
     cycles through forms that are not exact and the search stops there.
     """
@@ -377,7 +381,7 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
         if not d_cur.is_zero():
             # d(cur) is exact, and with d(u0) = -d(cur) the new cur is closed
             # because d o sp = 0
-            u0 = -integrate(d_cur)
+            u0 = -_integrate_closed(d_cur)
             u_total = u_total + u0
             cur = cur - wp(u0)
         # cur is closed, so it is exact exactly when C(cur) = 0 (C o d = 0
@@ -385,9 +389,9 @@ def congruence_witness(omega: DiffForm) -> Optional[Certificate]:
         # tests/test_forms.py)
         c = cartier_raw(cur)
         if c.is_zero():
-            cert = Certificate(u=u_total, eta=integrate(cur), field=field)
+            cert = Certificate(u=u_total, eta=_integrate_closed(cur), field=field)
             if not verify_certificate(omega, zero_n, cert):
-                return None
+                raise CertificateFailed("witness failed to verify")
             return cert
         u_total = u_total + c
         cur = cur - wp(c)

@@ -350,14 +350,20 @@ def integrate(omega: DiffForm) -> DiffForm:
     by sum_i j_i dlog x_i, so contraction against the dual vector at the
     first index of j is a homotopy and eta is obtained in closed form.
     """
+    if omega.degree > 0 and not omega.is_zero() and not d(omega).is_zero():
+        raise NotExact("form is not closed")
+    return _integrate_closed(omega)
+
+
+def _integrate_closed(omega: DiffForm) -> DiffForm:
+    """``integrate`` of a form its caller knows to be closed: the same
+    antiderivative, without taking d(omega)."""
     field = omega.field
     n = omega.degree
     if omega.is_zero():
         return DiffForm.zero(field, n - 1)
     if n == 0:
         raise NotExact("nonzero degree-0 form is never exact")
-    if not d(omega).is_zero():
-        raise NotExact("form is not closed")
     p = field.p
     zero_j = (0,) * field.nvars
     eta_log: dict = {}

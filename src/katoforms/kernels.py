@@ -7,7 +7,8 @@ term off a heap, so each step costs the divisor's other terms, not a new
 remainder.  A linear system is sparse too: each row a dict mapping column
 indices to coefficients.  Its elimination is recorded once
 (``Factorization``) and replayed for each right-hand side, given as a dict
-``{row: value}``: a replay runs only the steps its nonzero rows reach and
+``{row: value}``: a replay runs only the steps its nonzero rows reach,
+stops at the first contradiction that no later step can change, and
 returns ``{column: value}``.
 """
 
@@ -126,14 +127,16 @@ class Factorization:
     gives the unique solution supported on them, whatever rows were chosen.
 
     Each pivot step is kept, in step order, as (pivot row, inverse of its
-    pivot entry, the rows it eliminated, their multipliers), and
+    pivot entry, the rows it eliminated, their multipliers),
     ``step_of[i]`` is the step whose pivot row is i, or None for a row that
-    never became a pivot.  For back-substitution each step also keeps
-    (its column, its pivot row, the pivot rows whose reduced row
-    references that column, their entries there): the transpose of the
-    reduced pivot rows, restricted to the pivot columns, since a free
-    column's variable is zero.  All of it is frozen after construction,
-    so one factorization serves any number of callers.
+    never became a pivot, and ``last_write[i]`` is the last step that
+    eliminated row i, so the last that writes to it, or -1 if none did; it
+    is read only for rows outside the pivots.  For back-substitution each
+    step also keeps (its column, its pivot row, the pivot rows whose
+    reduced row references that column, their entries there): the
+    transpose of the reduced pivot rows, restricted to the pivot columns,
+    since a free column's variable is zero.  All of it is frozen after
+    construction, so one factorization serves any number of callers.
 
     ``solve`` takes the right-hand side as ``{row: value}`` and replays
     only what its nonzero rows reach (Gilbert–Peierls 1988).  A step
@@ -141,7 +144,12 @@ class Factorization:
     only to rows that become pivots at later steps, so the steps reached
     from the nonzero rows, taken in step order off a heap, are all the
     forward pass needs; a reached step whose pivot entry comes out zero
-    writes nothing.  Only the rows it touched can break consistency.
+    writes nothing.  Only the rows it touched can break consistency, and
+    a touched row outside the pivots is final once the replay has passed
+    its last write: such rows wait on a heap keyed by that step, and each
+    is tested as the replay passes it, so an infeasible right-hand side
+    returns at its first settled contradiction, and the rows still
+    waiting when the steps run out are tested then.
     Back-substitution scatters: a pivot row's reduced row has no column
     left of its own pivot, so walking the reached pivots from the last
     step back, each variable is final when reached, and a nonzero one is
@@ -150,7 +158,7 @@ class Factorization:
     whole system.
     """
 
-    __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "step_of")
+    __slots__ = ("p", "ncols", "nrows", "steps", "pivots", "step_of", "last_write")
 
     def __init__(self, rows: list, p: int, ncols: int):
         n = len(rows)
@@ -203,14 +211,18 @@ class Factorization:
                     rows_j.append(r)
                     entries_j.append(v)
         step_of: list = [None] * n
+        last_write: list = [-1] * n
         for s, (_, r) in enumerate(pivots):
             step_of[r] = s
+            for i in steps[s][2]:
+                last_write[i] = s
         self.p = p
         self.ncols = ncols
         self.nrows = n
         self.steps = tuple(steps)
         self.pivots = tuple((col, r, *map(tuple, users[col])) for col, r in pivots)
         self.step_of = tuple(step_of)
+        self.last_write = tuple(last_write)
 
     def solve(self, rhs: dict) -> dict | None:
         """One solution ``{column: value}`` for the right-hand side
@@ -221,8 +233,11 @@ class Factorization:
         nrows = self.nrows
         steps = self.steps
         step_of = self.step_of
+        last_write = self.last_write
         b = {}
         reached = []
+        # (last write, row) of each row outside the pivots that holds a value
+        waiting = []
         for i, v in rhs.items():
             if not 0 <= i < nrows:
                 raise ValueError(f"right-hand side at row {i} of {nrows}")
@@ -230,12 +245,19 @@ class Factorization:
             if v:
                 b[i] = v
                 s = step_of[i]
-                if s is not None:
+                if s is None:
+                    waiting.append((last_write[i], i))
+                else:
                     reached.append(s)
         heapify(reached)
+        heapify(waiting)
         # b holds unreduced values, reduced where they are read
         while reached:
-            r, inv, eliminated, factors = steps[heappop(reached)]
+            s = heappop(reached)
+            while waiting and waiting[0][0] < s:
+                if b[heappop(waiting)[1]] % p:
+                    return None
+            r, inv, eliminated, factors = steps[s]
             br = b[r] * inv % p
             b[r] = br
             if not br:
@@ -244,13 +266,16 @@ class Factorization:
                 v = b.get(i)
                 if v is None:
                     b[i] = -f * br
-                    s = step_of[i]
-                    if s is not None:
-                        heappush(reached, s)
+                    t = step_of[i]
+                    if t is None:
+                        heappush(waiting, (last_write[i], i))
+                    else:
+                        heappush(reached, t)
                 else:
                     b[i] = v - f * br
-        if any(v % p for i, v in b.items() if step_of[i] is None):
-            return None
+        while waiting:
+            if b[heappop(waiting)[1]] % p:
+                return None
         # max-heap of the reached steps, last first
         reached = [-s for i in b if (s := step_of[i]) is not None]
         heapify(reached)

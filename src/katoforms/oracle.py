@@ -59,22 +59,30 @@ its columns, its row index and the factorization, not the rows.  Per
 call, the target is packed into a right-hand side and the recorded
 elimination is replayed on it alone: the pivots and the arithmetic are
 those of ``gauss_solve`` on the same rows, so the solution is the same.
-Packing a coefficient a/b checks its degrees against the radix, divides
-D by b (``kernels.poly_exact_div``, which keeps one remainder and costs
-the quotient's terms times b's) and forms a * D/b on packed keys, one
-int add per pair of terms, with no product polynomial built.  The
-right-hand side is a dict over the target's rows alone, and the replay
-costs only what those rows reach: the pivot steps reached from them,
-one test per row outside the pivots that it touched, and a
-back-substitution that starts from the reached pivots and scatters only
-the nonzero variables; the answer is assembled from the nonzero lambda
-alone, in column order.  A two-key target on F3(x,y) at degree bound 20
-reads 5 of the 852 pivot steps.  A target key in no row (an exponent at
-or above the radix, or a monomial no column reaches) is absent at once,
-as the empty row it would fill is infeasible.  Two threads may both build
-a missing system; the build is deterministic and a system is frozen once
-built, so either result serves.  The ``lru_cache`` keeps its own order of
-use consistent across threads.
+Packing a coefficient a/b reads D/b, packed, and the headroom
+radix - deg_i(D/b) of each variable from the space's memo of quotients,
+checks the degrees of a against that headroom, and forms a * D/b on
+packed keys, one int add per pair of terms, with no product polynomial
+built.  The memo divides D by b (``kernels.poly_exact_div``) the first
+time b is seen and keeps the result only when b divides D, so it holds
+at most one entry per monic divisor of D; a b that does not divide D is
+absent, as above, and is not kept.  The right-hand side is a dict over
+the target's rows alone, and the replay costs only what those rows
+reach: the pivot steps reached from them, one test per row outside the
+pivots that it touched, and a back-substitution that starts from the
+reached pivots and scatters only the nonzero variables; the answer is
+assembled from the nonzero lambda alone, in column order.  Each such
+test is made as soon as the replay has passed the last step that writes
+to the row, so an absent target stops at its first settled
+contradiction: y dlog x on F3(x,y) at degree bound 20 reads 3 of the 12
+pivot steps it reaches, and a two-key target there reads at most 5 of
+the 852.  A target key in no row (an exponent at or above the radix, or
+a monomial no column reaches) is absent at once, as the empty row it
+would fill is infeasible.  Two threads may both build a missing system,
+or both fill a missing quotient; the build and the quotient are
+deterministic, a system is frozen once built, and a space's memo of
+quotients only grows, up to the divisors of D, so either result serves.
+The ``lru_cache`` keeps its own order of use consistent across threads.
 
 This module is deliberately independent of the constructive rewriting in
 ``certificates``; the two are played against each other in the test suite.
@@ -303,19 +311,20 @@ def d_column(idx: tuple[int, ...], cand: Candidate, cof: Cofactors, packing: Pac
 
 class Space:
     """What the bounds fix over one field: the candidates, their distinct
-    denominators, D = L^p and its degree in each variable, the packing of
-    the row keys and the systems built so far, one per (form degree,
-    with_wp)."""
+    denominators, D = L^p, the packing of the row keys, the systems built
+    so far, one per (form degree, with_wp), and the quotients of D by the
+    target denominators seen so far that divide it."""
 
-    __slots__ = ("candidates", "dens", "common", "degrees", "packing", "systems")
+    __slots__ = ("candidates", "dens", "common", "packing", "systems", "quotients")
 
     def __init__(self, bounds: SearchBounds, field: FunctionField):
         self.candidates = bounds.candidate_terms(field)
         self.dens = list(dict.fromkeys(b for _, _, b in self.candidates))
         self.common = _common_denominator(self.dens)
-        self.degrees = [max(column) for column in zip(*self.common.terms)]
         self.packing = Packing.for_system(self.common, self.candidates)
         self.systems: dict[tuple[int, bool], System] = {}
+        # {b: (packed D/b, per-variable headroom)}, b a monic divisor of D
+        self.quotients: dict[MultiPoly, tuple[dict, tuple[int, ...]]] = {}
 
     def system(self, n: int, with_wp: bool) -> "System":
         system = self.systems.get((n, with_wp))
@@ -329,22 +338,26 @@ class Space:
         combination of columns is omega then (module docstring).
 
         Each coefficient a/b becomes a * D/b on packed keys, one int add
-        per pair of terms.  Degrees add over a domain, so when b divides D
-        a product exponent reaches the radix exactly when
-        deg_i(a) + deg_i(D) - deg_i(b) does for some i; that is checked
-        once per coefficient, before D is divided by b."""
+        per pair of terms.  D/b is divided out and packed the first time b
+        is seen, and kept only if b divides D.  Degrees add over a domain,
+        so a product exponent reaches the radix exactly when deg_i(a)
+        reaches the headroom radix - deg_i(D/b) for some i."""
         packing = self.packing
-        radix = packing.radix
+        quotients = self.quotients
         p = omega.field.p
         target = {}
         for idx, c in omega.coeffs.items():
+            entry = quotients.get(c.den)
+            if entry is None:
+                try:
+                    terms = poly_exact_div(self.common, c.den).terms
+                except ValueError:
+                    return None
+                headroom = tuple(packing.radix - max(column) for column in zip(*terms))
+                entry = quotients[c.den] = (packing.terms(terms), headroom)
+            over_b, headroom = entry
             num = c.num.terms
-            degrees = zip(zip(*num), self.degrees, zip(*c.den.terms))
-            if any(max(a) + top - max(b) >= radix for a, top, b in degrees):
-                return None
-            try:
-                over_b = packing.terms(poly_exact_div(self.common, c.den).terms)
-            except ValueError:
+            if any(max(a) >= h for a, h in zip(zip(*num), headroom)):
                 return None
             at = packing.slot(idx)
             product: dict = {}

@@ -8,13 +8,16 @@ import pytest
 from katoforms import (
     BadExponent,
     Certificate,
+    CertificateFailed,
     DegreeMismatch,
     DiffForm,
     FunctionField,
+    NotExact,
     congruence_witness,
     d,
     dlog,
     exponent_reduction,
+    integrate,
     monomial_split_certificate,
     power_certificate,
     sp,
@@ -213,6 +216,34 @@ def test_congruence_witness_stops_on_a_repeated_form(f2x, monkeypatch):
         certificates, "cartier_raw", lambda w: calls.append(w) or real(w)
     )
     assert congruence_witness(dlog(f2x.var(0))) is None
+    assert len(calls) == 1
+
+
+def test_unverified_witness_is_refused(f2x, monkeypatch):
+    # the witness loop re-checks its own answer, also under python -O: a
+    # certificate that fails the check is a fault, not "not found"
+    monkeypatch.setattr("katoforms.certificates.verify_certificate", lambda *a: False)
+    x = f2x.var(0)
+    with pytest.raises(CertificateFailed):
+        congruence_witness(wp(DiffForm.basis(f2x, (0,)).scale(x)))
+
+
+def test_congruence_witness_integrates_without_a_closedness_check(rng, monkeypatch):
+    # every form the loop integrates is closed, d(cur) and the final cur,
+    # so it takes no d inside the calculus; the public integrate still
+    # refuses a form that is not closed
+    import katoforms.forms as forms
+
+    calls = []
+    real = forms.d
+    monkeypatch.setattr(forms, "d", lambda w: calls.append(w) or real(w))
+    fld = FunctionField.make(3, ["x", "y"])
+    for _ in range(10):
+        w = wp(random_form_rng(fld, 1, 2, 2, rng)) + d(random_form_rng(fld, 0, 2, 2, rng))
+        assert congruence_witness(w) is not None
+    assert calls == []
+    with pytest.raises(NotExact):
+        integrate(DiffForm.basis(fld, (0,)).scale(fld.var(1)))
     assert len(calls) == 1
 
 

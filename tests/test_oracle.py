@@ -130,6 +130,30 @@ def _as_dict(x):
     return None if x is None else {j: v for j, v in enumerate(x) if v}
 
 
+def _full_replay(fac, rhs):
+    """The recorded elimination replayed over every step on a dense
+    right-hand side, every row outside the pivots tested once at the end,
+    and back-substitution over every pivot: what ``solve`` must return
+    while it reads only what its right-hand side reaches."""
+    p = fac.p
+    b = [0] * fac.nrows
+    for i, v in rhs.items():
+        b[i] = v % p
+    for r, inv, eliminated, factors in fac.steps:
+        b[r] = b[r] * inv % p
+        for i, f in zip(eliminated, factors):
+            b[i] = (b[i] - f * b[r]) % p
+    if any(b[i] for i in range(fac.nrows) if fac.step_of[i] is None):
+        return None
+    x = {}
+    for col, r, rows, entries in reversed(fac.pivots):
+        if b[r]:
+            x[col] = b[r]
+            for i, e in zip(rows, entries):
+                b[i] = (b[i] - e * b[r]) % p
+    return x
+
+
 def _sparse_rhs(rhs, gen):
     """A dense right-hand side as {row: value}: every nonzero entry, and
     some entries that are 0 mod p, stored as they are."""
@@ -138,9 +162,9 @@ def _sparse_rhs(rhs, gen):
 
 def test_factorization_replays_every_right_hand_side():
     # one factorization per system, solved for many right-hand sides given
-    # as {row: value}: each answer is gauss_solve's and the dense
-    # reference's, and solving modifies neither the rows, the right-hand
-    # side nor the factorization
+    # as {row: value}: each answer is gauss_solve's, the dense reference's
+    # and that of a replay over every step, and solving modifies neither
+    # the rows, the right-hand side nor the factorization
     gen = random.Random(23)
     # the rows kept in a sparse right-hand side are drawn apart, so that
     # the systems are those drawn from seed 23 alone
@@ -176,7 +200,7 @@ def test_factorization_replays_every_right_hand_side():
             before = dict(sparse_rhs)
             expected = _dense_gauss_jordan(dense, rhs, p) if n else [0] * m
             got = fac.solve(sparse_rhs)
-            assert got == _as_dict(expected)
+            assert got == _as_dict(expected) == _full_replay(fac, sparse_rhs)
             assert expected == gauss_solve(rows, rhs, p, m)
             assert sparse_rhs == before
             answers.append(got)
@@ -301,6 +325,38 @@ def test_two_key_target_reads_only_the_steps_it_reaches(monkeypatch):
         got = solve_wp_plus_d(omega, bounds)
         assert reads == sorted(set(reads)) and set(reads) <= reach
         assert got == cert
+
+
+def test_absent_target_stops_at_its_first_settled_contradiction(monkeypatch):
+    # y dlog x, a nonzero class, on the degree-20 system of F3(x,y): its
+    # right-hand side reaches 12 pivot steps, and a row outside the pivots
+    # stays nonzero after the last step that writes to it, the third one;
+    # the replay returns there and reads a strict prefix of its reach
+    import katoforms.oracle as oracle
+
+    oracle._spaces.cache_clear()
+    f3 = FunctionField.make(3, ["x", "y"])
+    x, y = f3.var(0), f3.var(1)
+    bounds = SearchBounds(20, tuple(c.num for c in (f3.one(), x, y, x + y)))
+    omega = dlog(x).scale(y)
+    assert solve_wp_plus_d(omega, bounds) is None
+    space = oracle._spaces(bounds)[f3]
+    system = space.system(1, True)
+    fac = system.factorization
+    steps, step_of = fac.steps, fac.step_of
+    rhs = system.rhs(space.target(omega))
+    reach = set()
+    stack = [step_of[i] for i in rhs if step_of[i] is not None]
+    while stack:
+        s = stack.pop()
+        if s not in reach:
+            reach.add(s)
+            stack.extend(t for i in steps[s][2] if (t := step_of[i]) is not None)
+    reads = []
+    monkeypatch.setattr(fac, "steps", _ReadSteps(steps, reads))
+    assert fac.solve(rhs) is None
+    assert 0 < len(reads) < len(reach) and reads == sorted(reach)[: len(reads)]
+    assert _full_replay(fac, rhs) is None
 
 
 def test_wp_plus_d_examples(f2x):

@@ -115,6 +115,43 @@ def test_one_shared_bounds_and_fresh_equal_bounds_agree():
     assert _answers(cases, lambda key: SearchBounds(*key)) == (DIGEST, FOUND, EXACT)
 
 
+def _quotients(bounds):
+    """The quotient memo of each Space stored under a bounds value."""
+    return [space.quotients for space in oracle._spaces(bounds).values()]
+
+
+def test_quotient_memo_keeps_the_divisors_of_d():
+    # D = (x y (x + y))^3: x and (x + y)^2 divide it and are kept, y^4 does
+    # not and is absent without being kept; a second solve over x reads
+    # the kept quotient
+    cases = _cases()
+    fld = cases[0][0].field
+    x, y = fld.var_poly(0), fld.var_poly(1)
+    bounds = SearchBounds(*cases[0][1])
+    one = fld.const_poly(1)
+    dens = [x, (x + y) ** 2, y ** 4]
+    targets = [DiffForm.from_coeffs(fld, 1, {(1,): ratfunc_normalize(one, b)}) for b in dens]
+    for omega in targets + targets[:1]:
+        solve_wp_plus_d(omega, bounds)
+    (quotients,) = _quotients(bounds)
+    assert list(quotients) == dens[:2]
+    assert solve_wp_plus_d(targets[2], bounds) is None
+
+
+def test_answers_without_the_quotient_memo_are_the_same():
+    # the memo emptied before every solve: each quotient is computed again
+    # and every answer is the pinned one
+    shared = {key: SearchBounds(*key) for _, key in _cases()}
+
+    def emptied(key):
+        for quotients in _quotients(shared[key]):
+            quotients.clear()
+        return shared[key]
+
+    assert _answers(_cases(), emptied) == (DIGEST, FOUND, EXACT)
+    assert all(_quotients(bounds) for bounds in shared.values())
+
+
 def test_exactness_first_gives_the_same_answers():
     cases = _cases()
     shared = {key: SearchBounds(*key) for _, key in cases}
@@ -243,10 +280,11 @@ def test_each_use_makes_a_value_the_most_recent(monkeypatch):
     assert len(builds) == 3 + len(values)
 
 
-def _race(bounds_for):
+def _race(bounds_for, cases=None, expected=(DIGEST, FOUND, EXACT)):
     """Four threads, half testing exactness first, answer every case at
-    once; every thread must get the pinned answers."""
-    cases = _cases()
+    once; every thread must get the expected answers, by default the
+    pinned ones."""
+    cases = _cases() if cases is None else cases
     results = []
 
     def work(exactness_first):
@@ -263,14 +301,39 @@ def _race(bounds_for):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [(DIGEST, FOUND, EXACT)] * 4
+    assert results == [expected] * 4
+
+
+def _unseen_cases():
+    """The first member of each bounds value of _cases plus y^2/den (z^2/den
+    on F2(x,y,z)), for den = b^2 and b c, b and c candidate denominators
+    other than 1, which divide D = L^p, and b^(p+1), which does not."""
+    cases = []
+    for omega, key in _cases()[::4]:
+        fld = omega.field
+        n = omega.degree
+        idx = tuple(range(n))
+        dens = key[1][1:]
+        for den in [b ** 2 for b in dens] + [dens[0] * dens[-1], dens[0] ** (fld.p + 1)]:
+            coeff = ratfunc_normalize(fld.var_poly(fld.nvars - 1) ** 2, den)
+            cases.append((omega + DiffForm.from_coeffs(fld, n, {idx: coeff}), key))
+    return cases
 
 
 def test_concurrent_callers_get_the_same_answers():
     # threads racing to build one missing system may both build it; the
-    # build is deterministic, so every thread still gets the pinned answers
+    # build is deterministic, so every thread still gets the pinned answers.
+    # Then, on the built systems with the quotient memo emptied, they race
+    # to fill it over denominators it has not seen, and get the answers of
+    # one thread
     shared = {key: SearchBounds(*key) for _, key in _cases()}
     _race(shared.__getitem__)
+    unseen = _unseen_cases()
+    expected = _answers(unseen, shared.__getitem__)
+    for bounds in shared.values():
+        for quotients in _quotients(bounds):
+            quotients.clear()
+    _race(shared.__getitem__, unseen, expected)
 
 
 @pytest.mark.parametrize("cap", [RECENT, 2])
