@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import BadExponent, CertificateFailed, DegreeMismatch
-from .fields import FunctionField, RatFunc
+from .errors import BadExponent, CertificateFailed, DegreeMismatch, FieldMismatch
+from .fields import FunctionField, RatFunc, ratfunc_sum_is_zero
 from .forms import (
     DiffForm,
     _integrate_closed,
@@ -70,14 +70,29 @@ class Certificate(Record):
 
 
 def verify_certificate(lhs: DiffForm, rhs: DiffForm, cert: Certificate) -> bool:
-    """Exact check of lhs - rhs - wp(u) - d(eta) = 0."""
+    """Exact check of lhs - rhs - wp(u) - d(eta) = 0.
+
+    Degrees are checked first (``DegreeMismatch``), then that lhs, rhs, u,
+    eta and the certificate's field are one field (``FieldMismatch``).  The
+    comparison is one exact zero test per index of the four forms
+    (``fields.ratfunc_sum_is_zero``), with no gcd and no normal form.
+    """
     if lhs.degree != rhs.degree or lhs.degree != cert.u.degree:
         raise DegreeMismatch(
             f"lhs degree {lhs.degree}, rhs degree {rhs.degree}, u degree {cert.u.degree}"
         )
     if cert.eta.degree != cert.u.degree - 1:
         raise DegreeMismatch("eta must have degree one less than u")
-    return (lhs - rhs - wp(cert.u) - d(cert.eta)).is_zero()
+    field = lhs.field
+    slots = {"rhs": rhs.field, "u": cert.u.field, "eta": cert.eta.field, "certificate": cert.field}
+    for name, other in slots.items():
+        if other != field:
+            raise FieldMismatch(f"lhs over {field}, {name} over {other}")
+    parts = ((1, lhs.coeffs), (-1, rhs.coeffs), (-1, wp(cert.u).coeffs), (-1, d(cert.eta).coeffs))
+    return all(
+        ratfunc_sum_is_zero(field, [(c, coeffs[idx]) for c, coeffs in parts if idx in coeffs])
+        for idx in set().union(*(coeffs for _, coeffs in parts))
+    )
 
 
 # -- iterated powers -----------------------------------------------------------

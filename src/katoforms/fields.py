@@ -37,7 +37,8 @@ g = gcd(b, db), h = b/g and t = (da) h - a (db/g); t is prime to h, and the
 derivative is t/(h b) with g2 = gcd(t, g) cancelled, a gcd skipped when
 g = 1.  No gcd is taken against b^2.  The reduced form with a monic
 denominator is unique, so these give exactly what normalizing the schoolbook
-fraction gives.
+fraction gives.  ``ratfunc_sum_is_zero`` decides whether a signed sum of
+canonical fractions is zero without a gcd: a zero test needs no reduced sum.
 
 ``poly_gcd`` works in the highest variable x_i that either operand has.
 Operands in x_i alone go to a dense leaf: Euclid over F_p on coefficient
@@ -657,6 +658,40 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
         num = num.scale(inv)
         den = den.scale(inv)
     return RatFunc(field, num, den)
+
+
+def ratfunc_sum_is_zero(field: FunctionField, terms: Iterable[tuple[int, RatFunc]]) -> bool:
+    """Whether sum c f = 0 over the (c, f) pairs, c an integer and f canonical.
+
+    No gcd and no normal form: the numerators c num(f) over each monic
+    denominator are added, and the sum is zero exactly when no group is left
+    nonzero, or when two or more are and sum_g n_g prod_{h != g} d_h = 0
+    (a denominator 1 is not multiplied).  One nonzero group n/d is not zero.
+    """
+    p = field.p
+    dens: list[MultiPoly] = []
+    nums: list[dict] = []
+    for c, f in terms:
+        num = f.num.terms if c == 1 else f.num.scale(c).terms
+        for g, den in enumerate(dens):
+            if den.terms == f.den.terms:
+                nums[g] = poly_add(nums[g], num, p)
+                break
+        else:
+            dens.append(f.den)
+            nums.append(num)
+    groups = [(n, den) for n, den in zip(nums, dens) if n]
+    if not groups:
+        return True
+    if len(groups) == 1:
+        return False
+    total: dict = {}
+    for g, (n, _) in enumerate(groups):
+        for h, (_, den) in enumerate(groups):
+            if h != g and not den.is_const():
+                n = poly_mul(n, den.terms, p)
+        total = poly_add(total, n, p)
+    return not total
 
 
 # -- derivations and Frobenius structure ----------------------------------

@@ -104,7 +104,8 @@ def parse_field(text: str) -> FunctionField:
 
 
 def parse_field_text(text: str) -> FunctionField:
-    """Compact field notation: F2(x,y) or GF(3)(x)."""
+    """Compact field notation F<p>(names), such as F2(x,y) or F3(x): the only
+    one read, so GF(3)(x) is refused."""
     text = text.strip()
     if not text.startswith("F"):
         raise ParseError(f"cannot read field {text!r}")
@@ -328,7 +329,8 @@ class _ExprParser:
     """Infix reader producing a DiffForm (scalars are degree-0 forms).
 
     ``*`` and juxtaposition multiply (wedge for positive-degree operands),
-    ``^`` is exponentiation on scalars and the wedge on differentials, and
+    ``^`` is exponentiation on scalars (a scalar raised to anything but a
+    decimal integer is refused) and the wedge on differentials, and
     ``dNAME`` denotes the differential of the variable NAME.
     """
 
@@ -407,6 +409,8 @@ class _ExprParser:
                 value = DiffForm.scalar(self.field, value.scalar_value() ** n)
             else:
                 rhs = self.atom()
+                if value.degree == 0 and rhs.degree == 0:
+                    raise ParseError("a scalar exponent must be a nonnegative decimal integer")
                 value = wedge(value, rhs)
         return value
 

@@ -11,6 +11,7 @@ from katoforms import (
     CertificateFailed,
     DegreeMismatch,
     DiffForm,
+    FieldMismatch,
     FunctionField,
     NotExact,
     congruence_witness,
@@ -53,6 +54,88 @@ def test_verify_degree_mismatch(f2xy):
             DiffForm.zero(f2xy, 2),
             Certificate.trivial(f2xy, 1),
         )
+
+
+def _subtract_and_normalize(lhs, rhs, cert):
+    """The checker as form arithmetic: every sum a reduced fraction, then a
+    zero test of the normalized difference."""
+    return (lhs - rhs - wp(cert.u) - d(cert.eta)).is_zero()
+
+
+def _with_unit_change(form, rng):
+    """form with one coefficient (or a new one) changed by a nonzero constant."""
+    field = form.field
+    idx = rng.choice(sorted(form.coeffs)) if form.coeffs else tuple(range(form.degree))
+    change = DiffForm.from_coeffs(field, form.degree, {idx: field.const(rng.randint(1, field.p - 1))})
+    return form + change
+
+
+def test_verify_agrees_with_subtract_and_normalize():
+    # seeded wp(u) + d(eta) triples and their mutations: the exact zero test
+    # accepts and rejects exactly what the normalized difference does
+    rng = random.Random(27)
+    accepted = rejected = 0
+    for p, names in [(2, "xy"), (3, "xy"), (5, "xy"), (2, "xyz"), (3, "xyz"), (5, "xyz")]:
+        fld = FunctionField.make(p, list(names))
+        pool = [fld.const_poly(1), fld.var_poly(0), fld.var_poly(1), (fld.var(0) + fld.one()).num]
+        for n in (1, 2):
+            for _ in range(4):
+                u = random_form_rng(fld, n, 2, 2, rng, pool)
+                eta = random_form_rng(fld, n - 1, 2, 2, rng, pool)
+                rhs = random_form_rng(fld, n, 2, 2, rng, pool)
+                lhs = rhs + wp(u) + d(eta)
+                noise = random_form_rng(fld, n, 2, 1, rng, pool)
+                cert = Certificate(u=u, eta=eta, field=fld)
+                bad_u = Certificate(u=_with_unit_change(u, rng), eta=eta, field=fld)
+                for triple in [
+                    (lhs, rhs, cert),
+                    (lhs + noise, rhs, cert),
+                    (lhs, rhs + noise, cert),
+                    (lhs, rhs, bad_u),
+                    (lhs, lhs, Certificate.trivial(fld, n)),
+                ]:
+                    expected = _subtract_and_normalize(*triple)
+                    assert verify_certificate(*triple) == expected, triple
+                    accepted += expected
+                    rejected += not expected
+    assert accepted >= 48 and rejected >= 48, (accepted, rejected)
+
+
+def test_verify_an_index_with_four_distinct_denominators(f3xy):
+    x, y = f3xy.var(0), f3xy.var(1)
+    one = f3xy.one()
+    dx = DiffForm.basis(f3xy, (0,))
+    u = dx.scale((x + one).inv())
+    eta = DiffForm.scalar(f3xy, (x + y).inv())
+    rhs = dx.scale(y.inv())
+    lhs = rhs + wp(u) + d(eta)
+    dens = [form.coeffs[(0,)].den for form in (lhs, rhs, wp(u), d(eta))]
+    assert len(set(dens)) == 4, dens
+    cert = Certificate(u=u, eta=eta, field=f3xy)
+    assert verify_certificate(lhs, rhs, cert)
+    for wrong in (rhs + dx, rhs.scale(x), rhs + dx.scale((x + y).inv())):
+        assert not verify_certificate(lhs, wrong, cert)
+
+
+def test_verify_refuses_a_field_slot_over_another_field(f2xy):
+    f3xy = FunctionField.make(3, ["x", "y"])
+    dx2, dx3 = DiffForm.basis(f2xy, (0,)), DiffForm.basis(f3xy, (0,))
+    zero2, zero3 = DiffForm.zero(f2xy, 0), DiffForm.zero(f3xy, 0)
+    # wp(dx) = (x + 1) dx over F2(x,y): true in every slot but the odd one
+    lhs = dx2.scale(f2xy.var(0) + f2xy.one())
+    rhs = DiffForm.zero(f2xy, 1)
+    for lhs_, rhs_, cert in [
+        (lhs, rhs, Certificate(u=dx2, eta=zero2, field=f3xy)),
+        (lhs, rhs, Certificate(u=dx3, eta=zero2, field=f2xy)),
+        (lhs, rhs, Certificate(u=dx2, eta=zero3, field=f2xy)),
+        (lhs, DiffForm.zero(f3xy, 1), Certificate(u=dx2, eta=zero2, field=f2xy)),
+    ]:
+        with pytest.raises(FieldMismatch):
+            verify_certificate(lhs_, rhs_, cert)
+    assert verify_certificate(lhs, rhs, Certificate(u=dx2, eta=zero2, field=f2xy))
+    # a degree mismatch is still reported first
+    with pytest.raises(DegreeMismatch):
+        verify_certificate(lhs, DiffForm.zero(f3xy, 2), Certificate(u=dx2, eta=zero2, field=f3xy))
 
 
 def test_power_certificate_examples(f2xy):

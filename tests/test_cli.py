@@ -217,6 +217,13 @@ def test_malformed_input_is_exit_3():
     assert "error" in report
 
 
+def test_scalar_raised_to_a_scalar_is_exit_3():
+    # x^y was read as the product xy and answered about another form
+    code, report = _run("classify", form="x^y dx", field="F3(x,y)")
+    assert code == 3
+    assert "scalar exponent" in report["error"]
+
+
 def test_negative_degree_bound_is_exit_3(capsys):
     # an empty candidate set is no bound to report "absent" against
     code, report = _run("classify", form="x dx", field="F2(x)", deg=-1)

@@ -137,6 +137,31 @@ def test_normalize_zero_denominator(f2x):
         ratfunc_normalize(f2x.const_poly(1), f2x.zero_poly())
 
 
+def test_sum_is_zero_agrees_with_the_reduced_sum(rng):
+    # grouped numerators and cross products, no gcd: the same answer as
+    # adding the reduced fractions
+    answers = set()
+    for p in (2, 3, 5):
+        fld = FunctionField.make(p, ["x", "y"])
+        x, y = fld.var_poly(0), fld.var_poly(1)
+        pool = [fld.const_poly(1), x, y, x + y, x * y + fld.const_poly(1)]
+        assert fields.ratfunc_sum_is_zero(fld, [])
+        for _ in range(60):
+            terms = [
+                (rng.randint(-3, 3), random_ratfunc(fld, rng, 2, 3, pool))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.5:
+                # close the sum through two fractions over other denominators
+                h = random_ratfunc(fld, rng, 2, 2, pool)
+                partial_sum = sum((f.scale(c) for c, f in terms), fld.zero())
+                terms += [(-1, partial_sum - h), (-1, h)]
+            expected = sum((f.scale(c) for c, f in terms), fld.zero()).is_zero()
+            assert fields.ratfunc_sum_is_zero(fld, terms) == expected, terms
+            answers.add(expected)
+    assert answers == {True, False}
+
+
 def test_normalize_canonical_over_common_factors(f2xy, rng):
     for _ in range(80):
         a = random_poly(f2xy, rng, 2, 3)

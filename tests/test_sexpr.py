@@ -24,6 +24,9 @@ def test_field_text():
         sexpr.parse_field_text("Q(x)")
     with pytest.raises(ParseError):
         sexpr.parse_field_text("F2()")
+    # F<p>(names) is the one compact notation
+    with pytest.raises(ParseError, match=r"cannot read field 'GF\(3\)\(x\)'"):
+        sexpr.parse_field_text("GF(3)(x)")
 
 
 def test_ratfunc_round_trip(f3xy, rng):
@@ -128,6 +131,25 @@ def test_infix_reader_errors(f2xy, text, message):
     with pytest.raises(ParseError) as caught:
         sexpr.parse_form_text(text, f2xy)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text", ["x^y dx", "2^x", "x^-1 dx", "x^-2", "(x+y)^x"])
+def test_infix_reader_refuses_scalar_exponents(f3xy, text):
+    # ^ between two scalars is a power, never a product: only a decimal
+    # exponent is read
+    with pytest.raises(ParseError, match="a scalar exponent must be a nonnegative decimal integer"):
+        sexpr.parse_form_text(text, f3xy)
+
+
+def test_infix_caret_readings_that_stay(f3xy):
+    x = f3xy.var(0)
+    dx, dy = DiffForm.basis(f3xy, (0,)), DiffForm.basis(f3xy, (1,))
+    dxdy = DiffForm.basis(f3xy, (0, 1))
+    assert sexpr.parse_form_text("dx^dy", f3xy) == dxdy
+    assert sexpr.parse_form_text("dx^-dy", f3xy) == -dxdy
+    assert sexpr.parse_form_text("x^dx", f3xy) == dx.scale(x)
+    assert sexpr.parse_form_text("x^2", f3xy) == DiffForm.scalar(f3xy, x * x)
+    assert sexpr.parse_form_text("x^2 dy", f3xy) == dy.scale(x * x)
 
 
 @pytest.mark.parametrize(
